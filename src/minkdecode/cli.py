@@ -225,6 +225,13 @@ class ExperimentReport:
     config_echo: dict
 
 
+def _config_int(value, field: str) -> int:
+    """A JSON integer from the experiment config; anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"config field '{field}' must be an integer, got {value!r}")
+    return value
+
+
 def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
     """Decode one corpus at every configured order and pool WER per order.
 
@@ -241,8 +248,15 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
         raise ValidationError("config needs 'hmm' and 'corpus'")
     hmm_path = base_dir / config["hmm"]
     hmm = dataio.load_hmm(hmm_path)
-    orders = tuple(int(n) for n in config.get("orders", DEFAULT_ORDERS))
-    renormalize = bool(config.get("renormalize", True))
+    orders = config.get("orders", list(DEFAULT_ORDERS))
+    if not isinstance(orders, list):
+        raise ValidationError(f"config field 'orders' must be a list of integers, got {orders!r}")
+    orders = tuple(_config_int(n, "orders") for n in orders)
+    renormalize = config.get("renormalize", True)
+    if not isinstance(renormalize, bool):
+        raise ValidationError(
+            f"config field 'renormalize' must be true or false, got {renormalize!r}"
+        )
     priors = None
     if config.get("priors"):
         priors = dataio.load_priors(base_dir / config["priors"])
@@ -260,13 +274,15 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
         noise = dataio.NoiseSpec(
             concentration=float(nz["concentration"]),
             confusion_rate=float(nz["confusion_rate"]),
-            seed=int(nz["seed"]),
+            seed=_config_int(nz["seed"], "noise.seed"),
         )
         frames = corpus["frames"]
+        if not (isinstance(frames, list) and len(frames) == 2):
+            raise ValidationError(f"config field 'frames' must be [lo, hi], got {frames!r}")
         manifest = dataio.generate_corpus(
             hmm,
-            int(corpus["utterances"]),
-            (int(frames[0]), int(frames[1])),
+            _config_int(corpus["utterances"], "utterances"),
+            (_config_int(frames[0], "frames"), _config_int(frames[1], "frames")),
             noise,
             base_dir / corpus["dir"],
         )

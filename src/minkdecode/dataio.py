@@ -62,6 +62,12 @@ def format_float(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def load_posteriors(path) -> PosteriorMatrix:
+    """Read a posterior matrix file, checking every row against the format.
+
+    All values are parsed in one bulk call and checked as one array. Only
+    when a check fails is the file walked row by row again, to name the
+    first bad line.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -77,11 +83,37 @@ def load_posteriors(path) -> PosteriorMatrix:
         raise DataFormatError(
             path, 1, f"malformed header {lines[0]!r}; expected two integers"
         ) from None
-    body = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != frames:
+    rows = [tokens for tokens in map(str.split, lines[1:]) if tokens]
+    if len(rows) != frames:
         raise DataFormatError(
-            path, len(lines), f"expected {frames} data rows, found {len(body)}"
+            path, len(lines), f"expected {frames} data rows, found {len(rows)}"
         )
+    values = None
+    if all(len(tokens) == classes for tokens in rows):
+        try:
+            values = np.array(rows, dtype=np.float64).reshape(frames, classes)
+        except ValueError:  # a token float() rejects
+            pass
+    # NaN fails both comparisons, so this also rejects non-finite entries.
+    if (
+        values is None
+        or not ((values >= 0) & (values <= 1)).all()
+        or check_row_sums(values) is not None
+    ):
+        values = _load_rows(path, lines, frames, classes)
+    try:
+        return PosteriorMatrix(values)
+    except ValidationError as exc:
+        raise DataFormatError(path, None, str(exc)) from None
+
+
+def _load_rows(path: Path, lines: list[str], frames: int, classes: int) -> np.ndarray:
+    """Parse and check the data rows one line at a time.
+
+    The reference for `load_posteriors`: it raises at the first bad line,
+    and returns the same array when every row is good.
+    """
+    body = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     rows = np.empty((frames, classes), dtype=np.float64)
     for k, (lineno, line) in enumerate(body):
         tokens = line.split()
@@ -101,10 +133,7 @@ def load_posteriors(path) -> PosteriorMatrix:
             raise DataFormatError(
                 path, lineno, f"row sums to {rows[k].sum()!r}, expected 1 within 1e-06"
             )
-    try:
-        return PosteriorMatrix(rows)
-    except ValidationError as exc:
-        raise DataFormatError(path, None, str(exc)) from None
+    return rows
 
 
 def _is_float(tok: str) -> bool:

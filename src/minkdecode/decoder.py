@@ -51,7 +51,7 @@ class HmmModel:
     def __post_init__(self):
         init = np.asarray(self.log_initial, dtype=np.float64)
         trans = np.asarray(self.log_transitions, dtype=np.float64)
-        s2c = np.asarray(self.state_to_class, dtype=np.int64)
+        s2c = _class_indices(self.state_to_class)
         labels = tuple(str(l) for l in self.state_labels)
         if init.ndim != 1:
             raise ValidationError("log_initial must be a vector")
@@ -66,6 +66,10 @@ class HmmModel:
             raise ValidationError("state_labels and state_to_class must have one entry per state")
         if (s2c < 0).any():
             raise ValidationError("state_to_class entries must be nonnegative column indices")
+        # A max-plus step has no defined result for NaN, and +inf - inf is NaN.
+        for name, arr in (("log_initial", init), ("log_transitions", trans)):
+            if np.isnan(arr).any() or (arr == np.inf).any():
+                raise ValidationError(f"{name} has a NaN or +inf entry")
         if abs(np.exp(init).sum() - 1.0) > DIST_SUM_TOLERANCE:
             raise ValidationError(
                 f"exp(log_initial) sums to {np.exp(init).sum()!r}, expected 1"
@@ -100,6 +104,17 @@ class HmmModel:
         return cls(log_init, log_trans, tuple(labels), state_to_class)
 
 
+def _class_indices(values) -> np.ndarray:
+    """state_to_class as int64; integral floats (as JSON may give) pass."""
+    arr = np.asarray(values)
+    integral = arr.dtype.kind in "iu" or (
+        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
+    )
+    if not integral:
+        raise ValidationError(f"state_to_class entries must be integers, got {values!r}")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class DecodingResult:
     """Best state path, its collapsed token sequence, and its log score."""
@@ -128,7 +143,7 @@ def _emissions(scores: LogScoreMatrix, hmm: HmmModel) -> np.ndarray:
     return scores.values[:, s2c]
 
 
-def _result(path: np.ndarray, log_score: float, hmm: HmmModel) -> DecodingResult:
+def _result(path, log_score: float, hmm: HmmModel) -> DecodingResult:
     path_t = tuple(int(s) for s in path)
     tokens = collapse_tokens([hmm.state_labels[s] for s in path_t])
     return DecodingResult(path_t, tokens, float(log_score))
@@ -142,19 +157,30 @@ def viterbi_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
     """
     emis = _emissions(scores, hmm)
     num_frames, num_states = emis.shape
-    backptr = np.zeros((num_frames, num_states), dtype=np.int64)
+    # cand[j, i] = delta[i] + trans[i, j]: row j holds every way into state j,
+    # so the argmax runs along a contiguous axis, and taking each row's
+    # winner from the flat buffer yields the very value that argmax chose.
+    trans_t = np.ascontiguousarray(hmm.log_transitions.T)
+    flat = np.empty(num_states * num_states)
+    cand = flat.reshape(num_states, num_states)
+    row_start = np.arange(0, num_states * num_states, num_states)
+    best = np.empty(num_states, dtype=np.intp)
+    backptr = np.zeros((num_frames, num_states), dtype=np.intp)
     delta = hmm.log_initial + emis[0]
     for t in range(1, num_frames):
-        cand = delta[:, None] + hmm.log_transitions
-        best_prev = np.argmax(cand, axis=0)  # first max = lowest index
-        backptr[t] = best_prev
-        delta = cand[best_prev, np.arange(num_states)] + emis[t]
-    last = int(np.argmax(delta))
-    path = np.empty(num_frames, dtype=np.int64)
-    path[-1] = last
+        np.add(trans_t, delta, out=cand)
+        prev = backptr[t]
+        cand.argmax(1, out=prev)  # first max = lowest index
+        np.add(row_start, prev, out=best)
+        delta = flat.take(best) + emis[t]
+    state = int(delta.argmax())
+    log_score = float(delta[state])
+    path = [state] * num_frames
+    bp = backptr.tolist()
     for t in range(num_frames - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
-    return _result(path, float(delta[last]), hmm)
+        state = bp[t][state]
+        path[t - 1] = state
+    return _result(path, log_score, hmm)
 
 
 def exhaustive_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:

@@ -151,6 +151,20 @@ class TestDecodeCommand:
         assert dst.exists()
 
 
+    def test_nan_in_hmm_is_validation_error(self, tmp_path, capsys):
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.5, 0.5]])
+        hmm = tmp_path / "nan.json"
+        hmm.write_text(json.dumps({
+            "num_states": 2, "initial": [float("nan"), 1.0],
+            "transitions": [[0.5, 0.5], [0.5, 0.5]],
+            "labels": ["a", "b"], "state_to_class": [0, 1],
+        }))
+        code = cli.main(["decode", str(src), "--hmm", str(hmm), "--out", str(tmp_path / "h")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{hmm}: log_initial has a NaN or +inf entry" in capsys.readouterr().err
+
+
 class TestScoreCommand:
     def test_identical(self, tmp_path, capsys):
         ref = tmp_path / "r.txt"
@@ -230,6 +244,24 @@ class TestExperimentCommand:
         assert entry["insertions"] == ins
         assert entry["ref_length"] == ref_len
         assert entry["wer"] == pytest.approx((subs + dels + ins) / ref_len, abs=1e-12)
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        (None, "renormalize", "false", "renormalize"),
+        (None, "orders", [2, 4.7], "orders"),
+        ("corpus", "utterances", 8.5, "utterances"),
+        ("corpus", "frames", [6, 12.5], "frames"),
+        ("noise", "seed", 1.5, "noise.seed"),
+    ], ids=["renormalize", "orders", "utterances", "frames", "noise-seed"])
+    def test_config_values_are_not_coerced(self, tmp_path, demo_hmm, capsys,
+                                           section, key, value, field):
+        path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
+        cfg = json.loads(path.read_text())
+        target = {None: cfg, "corpus": cfg["corpus"], "noise": cfg["corpus"]["noise"]}[section]
+        target[key] = value
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["experiment", str(path)]) == cli.EXIT_VALIDATION
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_machine_format_stdout(self, tmp_path, demo_hmm, capsys):
         cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.2, 7, orders=(2, 4))

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from minkdecode import DataFormatError, PosteriorMatrix, ValidationError
 from minkdecode.dataio import (
@@ -78,6 +81,42 @@ class TestPosteriorFormat:
         p.write_text("1 2\n1.5 -0.5\n")
         with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
             load_posteriors(p)
+
+    # Each bad row follows good rows and a blank line, so the error must name
+    # the file's line, not the row's index. Messages are those of the
+    # line-by-line loader.
+    @pytest.mark.parametrize("text, line, message", [
+        ("3 2\n0.5 0.5\n\n0.25 0.75\n0.5 0.25 0.25\n", 5, "expected 2 values, found 3"),
+        ("3 2\n0.5 0.5\n\n0.5 0.5\n0.5 1e\n", 5, "non-numeric token '1e'"),
+        ("2 2\n0.5 0.5\n\nnan 0.5\n", 4, "probabilities must be in [0, 1]"),
+        ("2 2\n0.5 0.5\n\n0.5 inf\n", 4, "probabilities must be in [0, 1]"),
+        ("2 2\n0.5 0.5\n\n1.25 -0.25\n", 4, "probabilities must be in [0, 1]"),
+        ("2 3\n0.2 0.3 0.5\n\n0.2 0.3 0.4\n", 4,
+         "row sums to np.float64(0.9), expected 1 within 1e-06"),
+        ("3 2\n0.5 0.5\n\n0.5 0.5\n\n", 5, "expected 3 data rows, found 2"),
+    ], ids=["token-count", "non-numeric", "nan", "inf", "out-of-range", "row-sum", "row-count"])
+    def test_malformed_row_names_file_line(self, tmp_path, text, line, message):
+        p = tmp_path / "m.post"
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            load_posteriors(p)
+        assert err.value.line == line
+        assert str(err.value) == f"{p}:{line}: {message}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(npst.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(2, 6)),
+        elements=st.floats(0.0, 1.0),
+    ))
+    def test_save_load_round_trip_is_bit_identical(self, tmp_path_factory, raw):
+        raw[raw.sum(axis=1) == 0, 0] = 1.0  # an all-zero row becomes one-hot
+        m = PosteriorMatrix(raw / raw.sum(axis=1, keepdims=True))
+        p = tmp_path_factory.mktemp("rt") / "m.post"
+        save_posteriors(m, p)
+        again = load_posteriors(p)
+        assert again.values.shape == m.values.shape
+        assert again.values.tobytes() == m.values.tobytes()
 
 
 class TestHmmFormat:

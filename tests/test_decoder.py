@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkdecode import (
     LOG_FLOOR,
@@ -33,6 +35,24 @@ class TestHmmModel:
     def test_zero_probability_floored(self):
         hmm = HmmModel.from_probs([1.0, 0.0], np.full((2, 2), 0.5), ["a", "b"], [0, 1])
         assert hmm.log_initial[1] == LOG_FLOOR
+
+    @pytest.mark.parametrize("initial, transitions, name", [
+        ([np.nan, 1.0], np.full((2, 2), 0.5), "log_initial"),
+        ([0.5, 0.5], [[0.5, 0.5], [np.nan, 1.0]], "log_transitions"),
+        ([0.5, 0.5], [[np.inf, 0.5], [0.5, 0.5]], "log_transitions"),
+    ], ids=["nan-initial", "nan-transition", "inf-transition"])
+    def test_rejects_nan_and_inf_probabilities(self, initial, transitions, name):
+        with pytest.raises(ValidationError, match=f"{name} has a NaN or \\+inf entry"):
+            HmmModel.from_probs(initial, transitions, ["a", "b"], [0, 1])
+
+    def test_rejects_fractional_state_to_class(self):
+        with pytest.raises(ValidationError, match="state_to_class entries must be integers"):
+            HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a", "b"], [0.0, 1.7])
+
+    def test_accepts_integral_float_state_to_class(self):
+        hmm = HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a", "b"], [0.0, 1.0])
+        assert hmm.state_to_class.tolist() == [0, 1]
+        assert hmm.state_to_class.dtype == np.int64
 
 
 class TestCollapseTokens:
@@ -119,6 +139,101 @@ class TestViterbi:
         )
         with pytest.raises(ValidationError, match="column"):
             viterbi_decode(LogScoreMatrix([[0.0, 0.0]]), hmm)
+
+
+# Multiples of 2**-20 of magnitude below 2**8 add exactly in float64, so the
+# DP and the oracle compare exact path sums. With inexact values (say scores
+# rounded to 0.1) rounding can merge two prefix sums 1 ulp apart: the oracle
+# then sees a tie that the DP already broke, and the two pick different paths.
+_LOG_GRID = 2.0**-20
+
+
+def _grid_logs(probs) -> np.ndarray:
+    return np.round(np.log(probs) / _LOG_GRID) * _LOG_GRID
+
+
+@st.composite
+def exact_instances(draw):
+    """Small instances with exact arithmetic and many ties, no floor entries."""
+    k = draw(st.integers(2, 4))
+    frames = draw(st.integers(1, 6))
+    weights = st.lists(st.integers(1, 3), min_size=k, max_size=k)
+    init = np.array(draw(weights), dtype=float)
+    trans = np.array([draw(weights) for _ in range(k)], dtype=float)
+    eighths = st.lists(st.integers(-16, 16), min_size=k, max_size=k)
+    scores = np.array(draw(st.lists(eighths, min_size=frames, max_size=frames))) / 8.0
+    hmm = HmmModel(
+        _grid_logs(init / init.sum()),
+        _grid_logs(trans / trans.sum(axis=1, keepdims=True)),
+        tuple(f"w{i}" for i in range(k)),
+        list(range(k)),
+    )
+    return LogScoreMatrix(scores), hmm
+
+
+def floor_instances(count=12):
+    """Seeded small instances whose scores and transitions contain LOG_FLOOR."""
+    rng = np.random.default_rng(2112)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(2, 5))
+        frames = int(rng.integers(2, 7))
+        trans = rng.dirichlet(np.ones(k), size=k)
+        trans[rng.random((k, k)) < 0.25] = 0.0
+        trans[:, 0] += 0.05
+        trans /= trans.sum(axis=1, keepdims=True)
+        hmm = HmmModel.from_probs(np.full(k, 1.0 / k), trans,
+                                  [f"w{i}" for i in range(k)], list(range(k)))
+        scores = np.round(rng.normal(size=(frames, k)), 1)
+        scores[rng.random((frames, k)) < 0.3] = LOG_FLOOR
+        out.append((LogScoreMatrix(scores), hmm))
+    return out
+
+
+# (state_path, log_score) of floor_instances(), frozen from the reference
+# frame loop (fancy-index gather over a [from, to] candidate matrix).
+FLOOR_DECODES = [
+    ((0, 1), -1e+30),
+    ((0, 3, 3, 3, 3, 3), 0.9222343724820081),
+    ((0, 2), -0.2942472788550554),
+    ((1, 0, 0, 2), 0.8146904575743434),
+    ((0, 0), 0.18756389792685435),
+    ((0, 0), 0.20685281944005474),
+    ((2, 0, 3, 1, 3, 1), -0.3140135845953106),
+    ((1, 1, 2, 1, 2, 1), -8.049995421636527),
+    ((1, 0, 0), -3.8891562030909244),
+    ((2, 2), -0.8492620858902615),
+    ((0, 1, 1, 0, 1, 0), -1.5275411524899818),
+    ((0, 0, 0, 0, 0, 0), -3.0000000000000003e+30),
+]
+
+
+class TestViterbiExact:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_instances())
+    def test_matches_exhaustive_bit_for_bit(self, instance):
+        scores, hmm = instance
+        v = viterbi_decode(scores, hmm)
+        e = exhaustive_decode(scores, hmm)
+        assert v.state_path == e.state_path
+        assert v.log_score == e.log_score
+
+    def test_frozen_decodes_with_floor_entries(self):
+        got = [
+            (r.state_path, r.log_score)
+            for r in (viterbi_decode(s, h) for s, h in floor_instances())
+        ]
+        assert got == FLOOR_DECODES
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="LOG_FLOOR absorbs finite evidence: every path takes one floor "
+        "entry, and -5.0 vs -0.1 is lost below the ulp of 1e30",
+    )
+    def test_floor_does_not_absorb_finite_evidence(self):
+        hmm = make_uniform_hmm(2)
+        scores = LogScoreMatrix([[LOG_FLOOR, LOG_FLOOR], [-5.0, -0.1]])
+        assert viterbi_decode(scores, hmm).state_path[-1] == 1
 
 
 class TestExhaustive:
