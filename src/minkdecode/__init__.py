@@ -1,9 +1,10 @@
 """Higher-order Minkowski-loss posterior transforms and a toy decode pipeline.
 
-The scalar transform machinery lives in `minkowski`; matrix application and
+The transform and its oracles live in `minkowski`; matrix application and
 log-score conversion in `posteriors`; the Viterbi decoder and its exact
 oracle in `decoder`; WER scoring in `scoring`; file formats and the
-synthetic-corpus generator in `dataio`; the CLI in `cli`.
+synthetic-corpus generator in `dataio`; decoding, experiments, reports and
+curve charts in `pipeline`; argument parsing and exit codes in `cli`.
 """
 
 from .decoder import DecodingResult, HmmModel, exhaustive_decode, score_path, viterbi_decode

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,10 @@ def load_posteriors(path) -> PosteriorMatrix:
     if len(rows) != frames:
         raise DataFormatError(
             path, len(lines), f"expected {frames} data rows, found {len(rows)}"
+        )
+    if classes < 0:
+        raise DataFormatError(
+            path, 1, f"malformed header {lines[0]!r}; class count must be >= 0"
         )
     values = None
     if all(len(tokens) == classes for tokens in rows):
@@ -244,6 +249,9 @@ class NoiseSpec:
     concentration scales how much posterior mass lands on the true class
     (math.inf gives exact one-hot rows); confusion_rate is the probability
     that a frame's mass is re-centered on a uniformly chosen wrong class.
+    Both must be real numbers and are stored as floats; seed must be an
+    int. Nothing else is coerced: a string, a bool or a fractional seed is
+    refused, and the message names the field as ``noise.<name>``.
     """
 
     concentration: float
@@ -251,14 +259,33 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("concentration", "confusion_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"field 'noise.{name}' must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if math.isnan(self.concentration) or self.concentration <= 0.0:
-            raise ValidationError(f"concentration must be > 0, got {self.concentration!r}")
+            raise ValidationError(
+                f"field 'noise.concentration' must be > 0, got {self.concentration!r}"
+            )
         if not 0.0 <= self.confusion_rate <= 1.0:
             raise ValidationError(
-                f"confusion_rate must be in [0, 1], got {self.confusion_rate!r}"
+                f"field 'noise.confusion_rate' must be in [0, 1], got {self.confusion_rate!r}"
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValidationError(f"field 'noise.seed' must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError("field 'noise.seed' must fit in 64 bits")
+
+    @classmethod
+    def from_json(cls, doc) -> "NoiseSpec":
+        """The spec stored as a JSON ``noise`` object; other keys are ignored."""
+        if not isinstance(doc, dict):
+            raise ValidationError(f"field 'noise' must be an object, got {doc!r}")
+        for name in ("concentration", "confusion_rate", "seed"):
+            if name not in doc:
+                raise ValidationError(f"field 'noise.{name}' is missing")
+        return cls(doc["concentration"], doc["confusion_rate"], doc["seed"])
 
 
 @dataclass(frozen=True)
@@ -317,15 +344,10 @@ def load_manifest(path) -> CorpusManifest:
         raise DataFormatError(path, None, "manifest must be an object with 'utterances'")
     noise = None
     if doc.get("noise") is not None:
-        nz = doc["noise"]
         try:
-            noise = NoiseSpec(
-                concentration=float(nz["concentration"]),
-                confusion_rate=float(nz["confusion_rate"]),
-                seed=int(nz["seed"]),
-            )
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise DataFormatError(path, None, f"bad noise spec: {exc}") from None
+            noise = NoiseSpec.from_json(doc["noise"])
+        except ValidationError as exc:
+            raise DataFormatError(path, None, str(exc)) from None
     base = path.parent
     utts = []
     for entry in doc["utterances"]:

@@ -3,7 +3,10 @@
 `viterbi_decode` is the standard max-product dynamic program.
 `exhaustive_decode` scores every state path outright and exists to check it
 on tiny instances; both apply the same tie-breaking rule (prefer the lower
-state index at every decision), so their outputs are interchangeable.
+state index at every decision). They agree on path and score when path sums
+are exact. Otherwise rounding can make two whole-path sums equal for the
+oracle when the DP's prefix sums differed, and the two may then return
+different paths of equal score; LOG_FLOOR entries make this much likelier.
 Emission scores come from a LogScoreMatrix through the model's
 state-to-class column map.
 """

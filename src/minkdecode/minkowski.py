@@ -22,7 +22,8 @@ to cross-check one another:
 
 * `closed_form_transform` - from the factored gradient,
   (1-mu) y^(n-1) = mu (1-y)^(n-1), giving y = r / (1 + r) with
-  r = (mu / (1 - mu))**(1 / (n-1)).
+  r = (mu / (1 - mu))**(1 / (n-1)). It is the scalar view of
+  `transform_values`, the array kernel the decode pipeline runs.
 * `newton_transform`      - safeguarded Newton iteration on [0, 1].
 * `brute_force_transform` - grid minimization of the expected loss.
 """
@@ -46,6 +47,7 @@ __all__ = [
     "RootAnalysis",
     "expected_loss",
     "gradient_coefficients",
+    "transform_values",
     "closed_form_transform",
     "newton_transform",
     "brute_force_transform",
@@ -58,42 +60,22 @@ ODD_ORDER_EXPLANATION = (
 )
 
 
+@dataclass(frozen=True)
 class LossOrder:
-    """Validated Minkowski exponent.
+    """Validated transform order: an integer >= 2 that is even.
 
-    Normal construction requires an even value >= 2 (a usable transform
-    order). Odd values >= 3 are representable only through
-    `LossOrder.odd_for_analysis`, which exists solely to feed the
-    complex-root analysis.
+    Every even-order entry point validates its order through this class;
+    `analyze_odd_order` applies the same integer check with the parity
+    rule reversed.
     """
 
-    __slots__ = ("value",)
+    value: int
 
-    def __init__(self, value: int):
-        value = _check_order_int(value)
+    def __post_init__(self):
+        value = _check_order_int(self.value)
         if value % 2:
             raise ValidationError(f"order {value} is odd: {ODD_ORDER_EXPLANATION}")
-        self.value = value
-
-    @classmethod
-    def odd_for_analysis(cls, value: int) -> "LossOrder":
-        value = _check_order_int(value)
-        if value % 2 == 0:
-            raise ValidationError(
-                f"order {value} is even; construct LossOrder({value}) directly"
-            )
-        obj = object.__new__(cls)
-        obj.value = value
-        return obj
-
-    def __repr__(self) -> str:
-        return f"LossOrder({self.value})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LossOrder) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((LossOrder, self.value))
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -159,13 +141,6 @@ class GradientPolynomial:
             acc = acc * y + c
         return acc
 
-    def derivative(self, y: float) -> float:
-        deg = self.degree
-        acc = 0.0
-        for i, c in enumerate(self.coefficients[:-1]):
-            acc = acc * y + (deg - i) * c
-        return acc
-
     def roots(self) -> tuple[complex, ...]:
         """All complex roots, via the companion matrix."""
         rts = np.roots(np.asarray(self.coefficients, dtype=np.float64))
@@ -195,23 +170,6 @@ def _check_order_int(value) -> int:
     return value
 
 
-def _even_order(order) -> int:
-    n = _check_order_int(order)
-    if n % 2:
-        raise ValidationError(f"order {n} is odd: {ODD_ORDER_EXPLANATION}")
-    return n
-
-
-def _odd_order(order) -> int:
-    n = _check_order_int(order)
-    if n % 2 == 0:
-        raise ValidationError(
-            f"order {n} is even and has a real optimum; analyze_odd_order is for "
-            "odd orders only"
-        )
-    return n
-
-
 def _posterior_value(mu) -> float:
     if isinstance(mu, Posterior):
         return mu.value
@@ -228,9 +186,9 @@ def _check_prediction(y) -> float:
 def expected_loss(y: float, mu, order) -> float:
     """Expected order-n loss (1-mu)*y**n + mu*(1-y)**n of predicting y.
 
-    Zero iff (mu=0, y=0) or (mu=1, y=1). Accepts even orders and
-    analysis-only odd orders; for y in [0, 1] the signed and absolute-value
-    forms of the loss coincide.
+    Zero iff (mu=0, y=0) or (mu=1, y=1). Accepts odd orders as well as even
+    ones; for y in [0, 1] the signed and absolute-value forms of the loss
+    coincide.
     """
     y = _check_prediction(y)
     mu = _posterior_value(mu)
@@ -257,7 +215,7 @@ def gradient_coefficients(mu, order) -> GradientPolynomial:
     (use `analyze_odd_order`).
     """
     mu = _posterior_value(mu)
-    n = _even_order(order)
+    n = LossOrder(order).value
     return GradientPolynomial(_poly_coefficients(mu, n), n, mu)
 
 
@@ -272,23 +230,35 @@ def _grad_slope(y: float, mu: float, m: int) -> float:
     return m * ((1.0 - mu) * y ** (m - 1) + mu * (y - 1.0) ** (m - 1))
 
 
+def transform_values(values, order) -> np.ndarray:
+    """Closed-form transform of every entry of an array of probabilities.
+
+    From the stationarity condition (1-mu) y^(n-1) = mu (1-y)^(n-1):
+    y = r / (1 + r) with r = (mu / (1 - mu))**(1 / (n-1)). Entries 0 and 1
+    map exactly to themselves, and order 2 returns a copy of the input.
+    Entries are not range-checked; `PosteriorMatrix` and `Posterior` do that.
+    """
+    n = LossOrder(order).value
+    vals = np.asarray(values, dtype=np.float64)
+    if n == 2:
+        return vals.copy()
+    m = n - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(vals, 1.0 - vals, out=np.zeros_like(vals), where=vals < 1.0)
+        r = ratio ** (1.0 / m)
+        out = r / (1.0 + r)
+    out = np.where(vals == 1.0, 1.0, out)
+    out = np.where(vals == 0.0, 0.0, out)
+    return out
+
+
 def closed_form_transform(mu, order) -> float:
     """Unique real root in [0, 1] of the even-order gradient polynomial.
 
-    From the stationarity condition (1-mu) y^(n-1) = mu (1-y)^(n-1):
-    y = r / (1 + r) with r = (mu / (1 - mu))**(1 / (n-1)). Returns exactly
-    0 for mu=0, 1 for mu=1, and mu itself at order 2.
+    The scalar view of `transform_values`, the kernel the pipeline runs:
+    returns exactly 0 for mu=0, 1 for mu=1, and mu itself at order 2.
     """
-    mu = _posterior_value(mu)
-    n = _even_order(order)
-    if n == 2:
-        return mu
-    if mu == 0.0:
-        return 0.0
-    if mu == 1.0:
-        return 1.0
-    r = (mu / (1.0 - mu)) ** (1.0 / (n - 1))
-    return r / (1.0 + r)
+    return float(transform_values(_posterior_value(mu), order))
 
 
 def newton_transform(mu, order, config: SolverConfig | None = None) -> float:
@@ -307,7 +277,7 @@ def newton_transform(mu, order, config: SolverConfig | None = None) -> float:
     defaults).
     """
     mu = _posterior_value(mu)
-    n = _even_order(order)
+    n = LossOrder(order).value
     cfg = config if config is not None else SolverConfig()
     if mu == 0.0:
         return 0.0
@@ -381,7 +351,7 @@ def brute_force_transform(mu, order, grid_steps: int = 1_000_000) -> float:
     practice).
     """
     mu = _posterior_value(mu)
-    n = _even_order(order)
+    n = LossOrder(order).value
     if grid_steps < 100:
         raise ValidationError(f"grid_steps must be >= 100, got {grid_steps}")
     ys, pow_y, pow_comp = _loss_tables(n, grid_steps)
@@ -401,7 +371,12 @@ def analyze_odd_order(mu, order, real_tolerance: float = 1e-9) -> RootAnalysis:
     (n-1)-fold 0 or 1, which *is* a valid probability.
     """
     mu = _posterior_value(mu)
-    n = _odd_order(order)
+    n = _check_order_int(order)
+    if n % 2 == 0:
+        raise ValidationError(
+            f"order {n} is even and has a real optimum; analyze_odd_order is for "
+            "odd orders only"
+        )
     m = n - 1
     if mu == 0.0:
         roots: tuple[complex, ...] = (complex(0.0),) * m

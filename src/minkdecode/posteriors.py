@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .minkowski import _even_order
+from .minkowski import transform_values
 
 __all__ = [
     "LOG_FLOOR",
@@ -102,22 +102,6 @@ class LogScoreMatrix:
         return self.values.shape[1]
 
 
-def transform_values(values: np.ndarray, order) -> np.ndarray:
-    """Entrywise closed-form transform of an array of probabilities."""
-    n = _even_order(order)
-    vals = np.asarray(values, dtype=np.float64)
-    if n == 2:
-        return vals.copy()
-    m = n - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(vals, 1.0 - vals, out=np.zeros_like(vals), where=vals < 1.0)
-        r = ratio ** (1.0 / m)
-        out = r / (1.0 + r)
-    out = np.where(vals == 1.0, 1.0, out)
-    out = np.where(vals == 0.0, 0.0, out)
-    return out
-
-
 def transform_matrix(p: PosteriorMatrix, order, renormalize: bool = True) -> PosteriorMatrix:
     """Apply the order-n transform to every entry of a posterior matrix.
 
@@ -168,8 +152,8 @@ def renormalize_rows(raw) -> PosteriorMatrix:
     return PosteriorMatrix(arr / sums[:, None])
 
 
-def check_row_sums(values: np.ndarray, tolerance: float = ROW_SUM_TOLERANCE) -> int | None:
-    """Index of the first row whose sum is off 1 by more than tolerance, else None."""
+def check_row_sums(values: np.ndarray) -> int | None:
+    """Index of the first row whose sum is off 1 by more than ROW_SUM_TOLERANCE, else None."""
     sums = np.asarray(values, dtype=np.float64).sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > tolerance)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)
     return int(bad[0]) if bad.size else None

@@ -81,6 +81,13 @@ class TestTransformCommand:
         assert code == cli.EXIT_VALIDATION
         assert "in.post" in capsys.readouterr().err
 
+    def test_negative_class_count_is_validation_error(self, tmp_path, capsys):
+        src = tmp_path / "in.post"
+        src.write_text("0 -1\n")
+        code = cli.main(["transform", str(src), "--order", "4", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{src}:1: malformed header" in capsys.readouterr().err
+
 
 class TestCurvesCommand:
     def test_three_point_grid_fixed_points(self, tmp_path):
@@ -191,6 +198,12 @@ class TestSynthCommand:
         assert (out / "manifest.json").exists()
         assert len(list(out.glob("*.post"))) == 3
 
+    def test_bad_frames_is_validation_error(self, tmp_path, demo_hmm, capsys):
+        code = cli.main(["synth", "--hmm", str(demo_hmm), "--frames", "abc",
+                         "--out", str(tmp_path / "corpus")])
+        assert code == cli.EXIT_VALIDATION
+        assert "'abc'" in capsys.readouterr().err
+
 
 def experiment_config(tmp_path, hmm_path, concentration, confusion, seed, orders=(2, 4, 6)):
     cfg = {
@@ -251,7 +264,12 @@ class TestExperimentCommand:
         ("corpus", "utterances", 8.5, "utterances"),
         ("corpus", "frames", [6, 12.5], "frames"),
         ("noise", "seed", 1.5, "noise.seed"),
-    ], ids=["renormalize", "orders", "utterances", "frames", "noise-seed"])
+        ("noise", "concentration", "5", "noise.concentration"),
+        ("corpus", "noise", {"concentration": 5.0, "confusion_rate": 0.3}, "noise.seed"),
+        ("corpus", "noise", [1, 2], "noise"),
+        ("corpus", "noise", "x", "noise"),
+    ], ids=["renormalize", "orders", "utterances", "frames", "noise-seed",
+            "noise-concentration", "noise-missing-key", "noise-list", "noise-string"])
     def test_config_values_are_not_coerced(self, tmp_path, demo_hmm, capsys,
                                            section, key, value, field):
         path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
@@ -262,6 +280,21 @@ class TestExperimentCommand:
         assert cli.main(["experiment", str(path)]) == cli.EXIT_VALIDATION
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", 4.7), ("concentration", "5")])
+    def test_manifest_noise_is_not_coerced(self, tmp_path, demo_hmm, capsys, key, value):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--hmm", str(demo_hmm), "--utterances", "2",
+                         "--out", str(corpus)]) == 0
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        manifest["noise"][key] = value
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"hmm": demo_hmm.name,
+                                   "corpus": {"manifest": "corpus/manifest.json"}}))
+        assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"manifest.json: field 'noise.{key}'" in err
 
     def test_machine_format_stdout(self, tmp_path, demo_hmm, capsys):
         cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.2, 7, orders=(2, 4))

@@ -84,7 +84,7 @@ class TestPosteriorFormat:
 
     # Each bad row follows good rows and a blank line, so the error must name
     # the file's line, not the row's index. Messages are those of the
-    # line-by-line loader.
+    # line-by-line loader. A negative count in the header names line 1.
     @pytest.mark.parametrize("text, line, message", [
         ("3 2\n0.5 0.5\n\n0.25 0.75\n0.5 0.25 0.25\n", 5, "expected 2 values, found 3"),
         ("3 2\n0.5 0.5\n\n0.5 0.5\n0.5 1e\n", 5, "non-numeric token '1e'"),
@@ -94,7 +94,10 @@ class TestPosteriorFormat:
         ("2 3\n0.2 0.3 0.5\n\n0.2 0.3 0.4\n", 4,
          "row sums to np.float64(0.9), expected 1 within 1e-06"),
         ("3 2\n0.5 0.5\n\n0.5 0.5\n\n", 5, "expected 3 data rows, found 2"),
-    ], ids=["token-count", "non-numeric", "nan", "inf", "out-of-range", "row-sum", "row-count"])
+        ("-1 2\n", 1, "expected -1 data rows, found 0"),
+        ("1 -1\n0.5 0.5\n", 1, "malformed header '1 -1'; class count must be >= 0"),
+    ], ids=["token-count", "non-numeric", "nan", "inf", "out-of-range", "row-sum", "row-count",
+            "negative-frames", "negative-classes"])
     def test_malformed_row_names_file_line(self, tmp_path, text, line, message):
         p = tmp_path / "m.post"
         p.write_text(text)
@@ -222,6 +225,25 @@ class TestNoiseSpec:
             NoiseSpec(concentration=0.0, confusion_rate=0.3, seed=1)
         with pytest.raises(ValidationError):
             NoiseSpec(concentration=1.0, confusion_rate=1.0001, seed=1)
+
+    @pytest.mark.parametrize("concentration, confusion_rate, seed, field", [
+        ("5", 0.3, 1, "concentration"),
+        (True, 0.3, 1, "concentration"),
+        (5.0, [0.3], 1, "confusion_rate"),
+        (5.0, 0.3, 4.7, "seed"),
+        (5.0, 0.3, True, "seed"),
+        (5.0, 0.3, np.int64(1), "seed"),
+    ])
+    def test_values_are_not_coerced(self, concentration, confusion_rate, seed, field):
+        with pytest.raises(ValidationError, match=f"field 'noise.{field}'"):
+            NoiseSpec(concentration, confusion_rate, seed)
+
+    def test_stores_floats(self, tmp_path):
+        # An integer JSON concentration must write the same manifest as a float one.
+        for name, noise in (("int", NoiseSpec(100, 0, 1)), ("float", NoiseSpec(100.0, 0.0, 1))):
+            save_manifest(CorpusManifest((), noise), tmp_path / name)
+        assert (tmp_path / "int").read_bytes() == (tmp_path / "float").read_bytes()
+        assert '"concentration": 100.0' in (tmp_path / "int").read_text()
 
 
 class TestManifest:

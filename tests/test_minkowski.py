@@ -20,6 +20,7 @@ from minkdecode import (
     gradient_coefficients,
     newton_transform,
 )
+from minkdecode.minkowski import transform_values
 
 # Values frozen from the brute-force grid oracle (10^7 steps + golden
 # refinement); closed form and Newton independently agree to < 1e-9.
@@ -48,11 +49,6 @@ class TestLossOrder:
         for bad in (1, 0, -2):
             with pytest.raises(ValidationError):
                 LossOrder(bad)
-
-    def test_odd_for_analysis(self):
-        assert LossOrder.odd_for_analysis(5).value == 5
-        with pytest.raises(ValidationError):
-            LossOrder.odd_for_analysis(4)
 
     def test_accepted_by_operations(self):
         assert closed_form_transform(0.3, LossOrder(4)) == closed_form_transform(0.3, 4)
@@ -152,6 +148,12 @@ class TestClosedFormTransform:
         for order in (2, 4, 6):
             assert closed_form_transform(0.0, order) == 0.0
             assert closed_form_transform(1.0, order) == 1.0
+
+    @given(unit_floats, st.sampled_from(range(2, 13, 2)))
+    @settings(max_examples=500)
+    def test_is_the_pipeline_kernel(self, mu, order):
+        # Bit for bit: the oracles check closed_form_transform, the pipeline runs the kernel.
+        assert closed_form_transform(mu, order) == transform_values(np.array([mu]), order)[0]
 
 
 class TestNewtonTransform:
