@@ -16,15 +16,27 @@ The corpus generator simulates an acoustic model's posteriors along a state
 path sampled from the HMM. Randomness comes from SplitMix64, a named
 64-bit generator with defined behavior, so corpora are byte-reproducible
 across platforms (and reimplementable in any language).
+
+SplitMix64 is counter-based: draw k of the stream seeded with s is a fixed
+mix of s + k*gamma. `splitmix64_doubles` therefore computes many draws of
+many streams at once in wrapping uint64 arithmetic, and `generate_corpus`
+takes every utterance's draws from it in blocks, giving the same draws in
+the same places as the scalar `SplitMix64` reference. The arithmetic on the
+draws is kept as the scalar generator did it, so corpora stay byte for
+byte the same: exponentials use `math.log1p` (numpy's `log1p` differs from
+it in the last bit on some inputs), cumulative probabilities add in row
+order, and row totals use numpy's `sum`.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -37,6 +49,7 @@ __all__ = [
     "CorpusUtterance",
     "CorpusManifest",
     "SplitMix64",
+    "splitmix64_doubles",
     "format_float",
     "load_posteriors",
     "save_posteriors",
@@ -53,9 +66,12 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
     """17 significant digits: enough to reproduce any float64 exactly."""
-    return f"{x:.17g}"
+    return _FLOAT_FORMAT % x
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +166,11 @@ def _is_float(tok: str) -> bool:
 
 
 def save_posteriors(matrix: PosteriorMatrix, path) -> None:
-    path = Path(path)
-    out = [f"{matrix.frames} {matrix.classes}"]
-    for row in matrix.values:
-        out.append(" ".join(format_float(v) for v in row))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    """Write the matrix in the posterior format, all values in one format call."""
+    row = " ".join([_FLOAT_FORMAT] * matrix.classes)
+    template = "\n".join([f"{matrix.frames} {matrix.classes}"] + [row] * matrix.frames)
+    text = template % tuple(matrix.values.ravel().tolist())
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +195,36 @@ def load_hmm(path) -> HmmModel:
     if missing:
         raise DataFormatError(path, None, f"missing fields {sorted(missing)}")
     n = doc["num_states"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DataFormatError(path, None, f"num_states must be a positive integer, got {n!r}")
-    init = np.asarray(doc["initial"], dtype=np.float64)
-    trans = np.asarray(doc["transitions"], dtype=np.float64)
+    init = _numbers(path, doc, "initial")
+    trans = _numbers(path, doc, "transitions")
     if init.shape != (n,):
         raise DataFormatError(path, None, f"initial must have {n} entries, got shape {init.shape}")
     if trans.shape != (n, n):
         raise DataFormatError(path, None, f"transitions must be {n}x{n}, got shape {trans.shape}")
     labels = doc["labels"]
     s2c = doc["state_to_class"]
+    for name, value in (("labels", labels), ("state_to_class", s2c)):
+        if not isinstance(value, list):
+            raise DataFormatError(path, None, f"{name} must be a list, got {value!r}")
     if len(labels) != n or len(s2c) != n:
         raise DataFormatError(path, None, "labels and state_to_class must have one entry per state")
     try:
         return HmmModel.from_probs(init, trans, labels, s2c)
     except ValidationError as exc:
         raise DataFormatError(path, None, str(exc)) from None
+
+
+def _numbers(path: Path, doc: dict, name: str) -> np.ndarray:
+    """The HMM field `name` as a float64 array; strings and ragged nesting are refused."""
+    try:
+        arr = np.asarray(doc[name])
+    except ValueError:  # ragged nested lists
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DataFormatError(path, None, f"{name} must hold only numbers, got {doc[name]!r}")
+    return arr.astype(np.float64, copy=False)
 
 
 def save_hmm(hmm: HmmModel, path) -> None:
@@ -233,8 +263,8 @@ def load_priors(path) -> np.ndarray:
     except ValueError:
         bad = next(tok for tok in tokens if not _is_float(tok))
         raise DataFormatError(path, None, f"non-numeric token {bad!r}") from None
-    if (vals <= 0.0).any():
-        raise DataFormatError(path, None, "priors must be > 0")
+    if not (np.isfinite(vals) & (vals > 0.0)).all():
+        raise DataFormatError(path, None, "priors must be finite and > 0")
     return vals
 
 
@@ -327,7 +357,14 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _relative_to(p: Path, base: Path) -> str:
+def _relative_to(p, base: Path) -> str:
+    """p relative to base in POSIX form, or all of p when it lies outside base.
+
+    A file directly under base, as `generate_corpus` writes them, is its own
+    name; comparing parents parses no path text and caches none on p.
+    """
+    if isinstance(p, PurePath) and p.name and p.parent == base:
+        return p.name
     try:
         return Path(p).relative_to(base).as_posix()
     except ValueError:
@@ -413,19 +450,60 @@ class SplitMix64:
         return len(probs) - 1
 
 
-def _posterior_row(rng: SplitMix64, classes: int, center: int, concentration: float) -> np.ndarray:
+# Draws `generate_corpus` holds at once. Utterances are generated in blocks of
+# at most this many draws (one that needs more gets a block of its own), so
+# its memory does not grow with the corpus.
+_BLOCK_DRAWS = 1 << 14
+
+
+def splitmix64_doubles(seeds, n: int) -> np.ndarray:
+    """The first n `SplitMix64(seed).next_double()` values of each seed, one row per seed.
+
+    Draw k (counting from 1) of a stream is a fixed mix of seed + k*gamma,
+    so every draw is computed at once; uint64 arithmetic wraps as the scalar
+    generator's masks do. Seeds must lie in [0, 2**64).
+    """
+    z = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + (
+        np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    )
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _below(u: float, n: int) -> int:
+    """`SplitMix64.below(n)` given its draw u."""
+    return min(int(u * n), n - 1)
+
+
+def _pick(cumulative: list[float], u: float) -> int:
+    """`SplitMix64.categorical` given its draw u and the running sums of its probabilities."""
+    return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
+
+
+def _posterior_rows(draws: np.ndarray, centers: list[int], starts: list[int],
+                    classes: int, concentration: float) -> np.ndarray:
+    """One posterior row per frame, centered on centers[f].
+
+    starts[f] is the flat index in draws of the first of frame f's `classes`
+    uniforms, each turned into an exponential weight as
+    `SplitMix64.exponential` does.
+    """
+    frame = np.arange(len(centers))
+    centers = np.array(centers)
     if math.isinf(concentration):
-        row = np.zeros(classes)
-        row[center] = 1.0
-        return row
-    w = np.array([rng.exponential() for _ in range(classes)])
-    w[center] *= concentration
-    total = w.sum()
-    if total <= 0.0:  # all 53-bit uniforms were exactly 0; vanishingly unlikely
-        w[:] = 0.0
-        w[center] = 1.0
-        total = 1.0
-    return w / total
+        rows = np.zeros((len(centers), classes))
+        rows[frame, centers] = 1.0
+        return rows
+    u = draws.ravel()[np.array(starts)[:, None] + np.arange(classes)]
+    w = -np.array(list(map(math.log1p, (-u).ravel().tolist()))).reshape(u.shape)
+    w[frame, centers] *= concentration
+    total = w.sum(axis=1)
+    empty = total <= 0.0  # all 53-bit uniforms were exactly 0; vanishingly unlikely
+    w[frame[empty], centers[empty]] = 1.0
+    total[empty] = 1.0
+    return w / total[:, None]
 
 
 def generate_corpus(
@@ -440,8 +518,14 @@ def generate_corpus(
     Each utterance samples a state path from the HMM, takes the collapsed
     labels as the reference transcript, and emits per-frame posterior rows
     centered (modulo confusion events) on the true class. Utterance i draws
-    from SplitMix64(seed + i), so generation is reproducible and utterances
-    are independent of corpus size or processing order.
+    from SplitMix64(seed + i), with seed + i taken mod 2**64, so generation
+    is reproducible and utterances are independent of corpus size or
+    processing order.
+
+    An utterance's draws are, in order: its frame count; one per frame for
+    its state path; then for each frame a confusion draw, one more naming
+    the wrong class if the frame is confused, and one exponential per class
+    (none when the concentration is inf).
     """
     if num_utterances < 1:
         raise ValidationError("num_utterances must be >= 1")
@@ -453,29 +537,45 @@ def generate_corpus(
     classes = int(hmm.state_to_class.max()) + 1
     if classes < 2:
         raise ValidationError("corpus generation needs at least 2 classes")
-    init_p = np.exp(hmm.log_initial)
-    trans_p = np.exp(hmm.log_transitions)
+    init_cum = list(itertools.accumulate(np.exp(hmm.log_initial).tolist()))
+    trans_cum = [list(itertools.accumulate(row)) for row in np.exp(hmm.log_transitions).tolist()]
+    state_class = hmm.state_to_class.tolist()
+    rate = noise.confusion_rate
+    row_draws = 0 if math.isinf(noise.concentration) else classes
+    utt_draws = 1 + hi + hi * (2 + row_draws)  # with every frame confused
+    block = max(1, _BLOCK_DRAWS // utt_draws)
     utts = []
-    for i in range(num_utterances):
-        rng = SplitMix64(noise.seed + i)
-        num_frames = lo + rng.below(hi - lo + 1)
-        states = [rng.categorical(init_p)]
-        for _ in range(num_frames - 1):
-            states.append(rng.categorical(trans_p[states[-1]]))
-        rows = np.empty((num_frames, classes))
-        for t, s in enumerate(states):
-            center = int(hmm.state_to_class[s])
-            if rng.next_double() < noise.confusion_rate:
-                k = rng.below(classes - 1)
-                center = k if k < center else k + 1
-            rows[t] = _posterior_row(rng, classes, center, noise.concentration)
-        reference = collapse_tokens([hmm.state_labels[s] for s in states])
-        uid = f"utt{i:04d}"
-        post_path = out_dir / f"{uid}.post"
-        ref_path = out_dir / f"{uid}.ref"
-        save_posteriors(PosteriorMatrix(rows), post_path)
-        save_transcript(reference, ref_path)
-        utts.append(CorpusUtterance(uid, post_path, ref_path))
+    for first in range(0, num_utterances, block):
+        ids = range(first, min(first + block, num_utterances))
+        draws = splitmix64_doubles([(noise.seed + i) & SplitMix64._MASK for i in ids], utt_draws)
+        paths, centers, starts = [], [], []
+        for offset, u in zip(range(0, draws.size, utt_draws), draws.tolist()):
+            num_frames = lo + _below(u[0], hi - lo + 1)
+            states = [_pick(init_cum, u[1])]
+            for k in range(2, num_frames + 1):
+                states.append(_pick(trans_cum[states[-1]], u[k]))
+            pos = num_frames + 1  # the first frame's confusion draw
+            for s in states:
+                center = state_class[s]
+                if u[pos] < rate:
+                    k = _below(u[pos + 1], classes - 1)
+                    center = k if k < center else k + 1
+                    pos += 1
+                centers.append(center)
+                starts.append(offset + pos + 1)
+                pos += 1 + row_draws
+            paths.append(states)
+        rows = _posterior_rows(draws, centers, starts, classes, noise.concentration)
+        end = 0
+        for i, states in zip(ids, paths):
+            start, end = end, end + len(states)
+            reference = collapse_tokens([hmm.state_labels[s] for s in states])
+            uid = f"utt{i:04d}"
+            post_path = out_dir / f"{uid}.post"
+            ref_path = out_dir / f"{uid}.ref"
+            save_posteriors(PosteriorMatrix(rows[start:end]), post_path)
+            save_transcript(reference, ref_path)
+            utts.append(CorpusUtterance(uid, post_path, ref_path))
     manifest = CorpusManifest(tuple(utts), noise)
     save_manifest(manifest, out_dir / MANIFEST_NAME)
     return manifest

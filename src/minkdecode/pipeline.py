@@ -98,6 +98,13 @@ def _config_int(value, field: str) -> int:
     return value
 
 
+def _config_path(value, field: str) -> str:
+    """A file or directory name from the experiment config: a JSON string, nothing else."""
+    if not isinstance(value, str):
+        raise ValidationError(f"config field '{field}' must be a string, got {value!r}")
+    return value
+
+
 def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
     """Decode one corpus at every configured order and pool WER per order.
 
@@ -112,8 +119,12 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
         raise ValidationError(f"unknown config fields {sorted(unknown)}")
     if "hmm" not in config or "corpus" not in config:
         raise ValidationError("config needs 'hmm' and 'corpus'")
-    hmm_path = base_dir / config["hmm"]
-    hmm = dataio.load_hmm(hmm_path)
+    # Optional, null means none. The caller writes the report; checking it
+    # here refuses a bad one before anything is decoded.
+    for field in ("priors", "report"):
+        if config.get(field) is not None:
+            _config_path(config[field], field)
+    hmm = dataio.load_hmm(base_dir / _config_path(config["hmm"], "hmm"))
     orders = config.get("orders", list(DEFAULT_ORDERS))
     if not isinstance(orders, list):
         raise ValidationError(f"config field 'orders' must be a list of integers, got {orders!r}")
@@ -131,7 +142,7 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
     if not isinstance(corpus, dict):
         raise ValidationError("'corpus' must be an object")
     if "manifest" in corpus:
-        manifest = dataio.load_manifest(base_dir / corpus["manifest"])
+        manifest = dataio.load_manifest(base_dir / _config_path(corpus["manifest"], "corpus.manifest"))
     else:
         for key in ("dir", "utterances", "frames", "noise"):
             if key not in corpus:
@@ -148,7 +159,7 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
             _config_int(corpus["utterances"], "utterances"),
             (_config_int(frames[0], "frames"), _config_int(frames[1], "frames")),
             noise,
-            base_dir / corpus["dir"],
+            base_dir / _config_path(corpus["dir"], "corpus.dir"),
         )
 
     loaded = [

@@ -171,6 +171,19 @@ class TestDecodeCommand:
         assert code == cli.EXIT_VALIDATION
         assert f"{hmm}: log_initial has a NaN or +inf entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("labels", 5), ("num_states", True)])
+    def test_mistyped_hmm_field_is_validation_error(self, tmp_path, capsys, field, value):
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.5, 0.5]])
+        doc = {"num_states": 1, "initial": [1.0], "transitions": [[1.0]],
+               "labels": ["a"], "state_to_class": [0]}
+        doc[field] = value
+        hmm = tmp_path / "typed.json"
+        hmm.write_text(json.dumps(doc))
+        code = cli.main(["decode", str(src), "--hmm", str(hmm), "--out", str(tmp_path / "h")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{hmm}: {field} must be" in capsys.readouterr().err
+
 
 class TestScoreCommand:
     def test_identical(self, tmp_path, capsys):
@@ -268,8 +281,14 @@ class TestExperimentCommand:
         ("corpus", "noise", {"concentration": 5.0, "confusion_rate": 0.3}, "noise.seed"),
         ("corpus", "noise", [1, 2], "noise"),
         ("corpus", "noise", "x", "noise"),
+        (None, "hmm", 5, "hmm"),
+        (None, "priors", 7, "priors"),
+        (None, "report", 6, "report"),
+        ("corpus", "dir", 3, "corpus.dir"),
+        ("corpus", "manifest", 4, "corpus.manifest"),
     ], ids=["renormalize", "orders", "utterances", "frames", "noise-seed",
-            "noise-concentration", "noise-missing-key", "noise-list", "noise-string"])
+            "noise-concentration", "noise-missing-key", "noise-list", "noise-string",
+            "hmm-path", "priors-path", "report-path", "dir-path", "manifest-path"])
     def test_config_values_are_not_coerced(self, tmp_path, demo_hmm, capsys,
                                            section, key, value, field):
         path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)

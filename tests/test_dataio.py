@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from minkdecode import DataFormatError, PosteriorMatrix, ValidationError
+from minkdecode import DataFormatError, PosteriorMatrix, ValidationError, dataio
 from minkdecode.dataio import (
     MANIFEST_NAME,
     CorpusManifest,
@@ -25,6 +27,7 @@ from minkdecode.dataio import (
     save_manifest,
     save_posteriors,
     save_transcript,
+    splitmix64_doubles,
 )
 
 from conftest import make_random_hmm, make_random_posteriors
@@ -162,6 +165,25 @@ class TestHmmFormat:
         with pytest.raises(DataFormatError, match="missing fields"):
             load_hmm(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_states", True),
+        ("labels", 5),
+        ("labels", "ab"),
+        ("state_to_class", {"a": 0}),
+        ("initial", "ab"),
+        ("initial", ["0.5", "0.5"]),
+        ("transitions", [[0.5, 0.5], [1.0]]),
+    ])
+    def test_mistyped_field_names_file(self, tmp_path, field, value):
+        doc = {"num_states": 2, "initial": [0.5, 0.5],
+               "transitions": [[0.5, 0.5], [0.5, 0.5]],
+               "labels": ["a", "b"], "state_to_class": [0, 1]}
+        doc[field] = value
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: {field} must"):
+            load_hmm(p)
+
     def test_round_trip(self, tmp_path, rng):
         hmm = make_random_hmm(rng, 4)
         p = tmp_path / "h.json"
@@ -193,6 +215,13 @@ class TestPriors:
         with pytest.raises(DataFormatError):
             load_priors(p)
 
+    @pytest.mark.parametrize("text", ["nan nan\n", "0.5 inf\n", "-inf 1\n"])
+    def test_nonfinite_rejected_naming_file(self, tmp_path, text):
+        p = tmp_path / "pri.txt"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: priors must be finite and > 0"):
+            load_priors(p)
+
 
 class TestSplitMix64:
     def test_reference_vectors_seed_zero(self):
@@ -216,6 +245,33 @@ class TestSplitMix64:
         a = SplitMix64(3).categorical([0.2, 0.3, 0.5])
         b = SplitMix64(3).categorical([0.2, 0.3, 0.5])
         assert a == b
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+        n=st.integers(0, 40),
+    )
+    def test_bulk_doubles_match_scalar_stream(self, seeds, n):
+        bulk = splitmix64_doubles(seeds, n)
+        assert bulk.shape == (len(seeds), n)
+        for seed, row in zip(seeds, bulk.tolist()):
+            g = SplitMix64(seed)
+            assert row == [g.next_double() for _ in range(n)]
+
+    @given(
+        probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        n=st.integers(1, 50),
+        data=st.data(),
+    )
+    def test_draw_rules_match_scalar_methods(self, probs, n, data):
+        # probs need not sum to 1, so a draw past the last running sum takes
+        # the last index; a draw equal to a running sum must pass over it.
+        cumulative = list(itertools.accumulate(probs))
+        u = data.draw(st.floats(0.0, 1.0, exclude_max=True)
+                      | st.sampled_from([c for c in cumulative if c < 1.0] or [0.0]))
+        g = SplitMix64(0)
+        g.next_double = lambda: u
+        assert dataio._pick(cumulative, u) == g.categorical(probs)
+        assert dataio._below(u, n) == g.below(n)
 
 
 class TestNoiseSpec:
