@@ -11,14 +11,17 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 solver failure.
 This module only parses arguments and maps errors to exit codes; the work
-is done in `pipeline`. All numeric file output uses 17-significant-digit
-decimals, so identical inputs produce byte-identical outputs. Decode
-timings go to stderr only: report files must not vary between reruns.
+is done in `pipeline`. The argument parser is built once per process, on
+the first `main` call, and reused by every later in-process call. All
+numeric file output uses 17-significant-digit decimals, so identical inputs
+produce byte-identical outputs. Decode timings go to stderr only: report
+files must not vary between reruns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,7 +56,10 @@ def cmd_curves(args) -> int:
 def cmd_decode(args) -> int:
     matrix = dataio.load_posteriors(args.posteriors)
     hmm = dataio.load_hmm(args.hmm)
-    priors = dataio.load_priors(args.priors) if args.priors else None
+    priors = None
+    if args.priors:
+        priors = dataio.load_priors(args.priors)
+        pipeline.check_priors(priors, matrix.classes, args.priors)
     tokens = pipeline.decode_tokens(matrix, hmm, args.order, args.renormalize == "on", priors)
     dataio.save_transcript(tokens, args.out)
     return EXIT_OK
@@ -100,7 +106,15 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built on the first call only.
+
+    Every call returns the same parser, shared by all `main` calls in the
+    process: parsing keeps its results in a new namespace and leaves the
+    parser as it was. Callers must not mutate it (add arguments, change
+    defaults); build a separate parser with `build_parser.__wrapped__()`.
+    """
     parser = argparse.ArgumentParser(
         prog="minkdecode",
         description="Higher-order Minkowski-loss posterior transforms and a toy decode pipeline.",

@@ -7,10 +7,11 @@ save -> load round-trips are exact):
   with space-separated probabilities; rows must sum to 1 within 1e-6.
 * HMM: JSON with fields num_states, initial, transitions, labels,
   state_to_class; probabilities are stored linearly and converted to logs
-  on load. Unknown fields are rejected.
+  on load. Labels must be strings. Unknown fields are rejected.
 * transcript: one token per line.
 * corpus manifest: JSON listing utterance ids and their posterior and
-  reference files, plus the generator seed and noise parameters.
+  reference files (all strings), plus the generator seed and noise
+  parameters.
 
 The corpus generator simulates an acoustic model's posteriors along a state
 path sampled from the HMM. Randomness comes from SplitMix64, a named
@@ -205,9 +206,10 @@ def load_hmm(path) -> HmmModel:
         raise DataFormatError(path, None, f"transitions must be {n}x{n}, got shape {trans.shape}")
     labels = doc["labels"]
     s2c = doc["state_to_class"]
-    for name, value in (("labels", labels), ("state_to_class", s2c)):
-        if not isinstance(value, list):
-            raise DataFormatError(path, None, f"{name} must be a list, got {value!r}")
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise DataFormatError(path, None, f"labels must be a list of strings, got {labels!r}")
+    if not isinstance(s2c, list):
+        raise DataFormatError(path, None, f"state_to_class must be a list, got {s2c!r}")
     if len(labels) != n or len(s2c) != n:
         raise DataFormatError(path, None, "labels and state_to_class must have one entry per state")
     try:
@@ -385,17 +387,25 @@ def load_manifest(path) -> CorpusManifest:
             noise = NoiseSpec.from_json(doc["noise"])
         except ValidationError as exc:
             raise DataFormatError(path, None, str(exc)) from None
+    entries = doc["utterances"]
+    if not isinstance(entries, list):
+        raise DataFormatError(
+            path, None, f"field 'utterances' must be a list of objects, got {entries!r}"
+        )
     base = path.parent
     utts = []
-    for entry in doc["utterances"]:
-        try:
-            utt = CorpusUtterance(
-                utterance_id=str(entry["id"]),
-                posteriors_path=base / entry["posteriors"],
-                reference_path=base / entry["reference"],
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataFormatError(
+                path, None, f"field 'utterances[{i}]' must be an object, got {entry!r}"
             )
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(path, None, f"bad utterance entry: {exc}") from None
+        for key in ("id", "posteriors", "reference"):
+            value = entry.get(key)
+            if not isinstance(value, str):
+                raise DataFormatError(
+                    path, None, f"field 'utterances[{i}].{key}' must be a string, got {value!r}"
+                )
+        utt = CorpusUtterance(entry["id"], base / entry["posteriors"], base / entry["reference"])
         for p in (utt.posteriors_path, utt.reference_path):
             if not p.exists():
                 raise DataFormatError(path, None, f"referenced file {p} does not exist")

@@ -1,6 +1,7 @@
 """The decode pipeline behind the CLI: experiments, reports and curve charts.
 
-`decode_tokens` is the single-file path: transform, log scores, Viterbi.
+`decode_tokens` is the single-file path: transform, log scores, Viterbi;
+`check_priors` refuses priors of the wrong length, naming their file.
 `run_experiment` decodes one corpus at several orders and pools WER per
 order; `report_document` serializes the result byte-reproducibly (decode
 timings stay out of it), and `report_table` renders it for a terminal.
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import dataio
 from .decoder import HmmModel, viterbi_decode
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 from .minkowski import transform_values
 from .posteriors import PosteriorMatrix, to_log_scores, transform_matrix
 from .scoring import WerReport, corpus_wer
@@ -37,6 +38,17 @@ def decode_tokens(matrix: PosteriorMatrix, hmm: HmmModel, order: int,
     transformed = transform_matrix(matrix, order, renormalize=renormalize)
     logs = to_log_scores(transformed, priors)
     return viterbi_decode(logs, hmm).token_sequence
+
+
+def check_priors(priors: np.ndarray, classes: int, path) -> None:
+    """Refuse priors without one entry per class, naming the priors file `path`.
+
+    `to_log_scores` refuses them too, but cannot name the file.
+    """
+    if priors.shape != (classes,):
+        raise DataFormatError(
+            path, None, f"priors must have one entry per class ({classes}), got {priors.size}"
+        )
 
 
 def wer_line(rep: WerReport) -> str:
@@ -136,7 +148,8 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
         )
     priors = None
     if config.get("priors"):
-        priors = dataio.load_priors(base_dir / config["priors"])
+        priors_path = base_dir / config["priors"]
+        priors = dataio.load_priors(priors_path)
 
     corpus = config["corpus"]
     if not isinstance(corpus, dict):
@@ -166,6 +179,9 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
         (dataio.load_posteriors(u.posteriors_path), dataio.load_transcript(u.reference_path))
         for u in manifest.utterances
     ]
+    if priors is not None:
+        for matrix, _ in loaded:
+            check_priors(priors, matrix.classes, priors_path)
     results = []
     order2_wer: float | None = None
     for order in orders:

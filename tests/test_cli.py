@@ -1,5 +1,10 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +176,8 @@ class TestDecodeCommand:
         assert code == cli.EXIT_VALIDATION
         assert f"{hmm}: log_initial has a NaN or +inf entry" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("labels", 5), ("num_states", True)])
+    @pytest.mark.parametrize("field, value", [("labels", 5), ("num_states", True),
+                                              ("labels", [1, ["x"]])])
     def test_mistyped_hmm_field_is_validation_error(self, tmp_path, capsys, field, value):
         src = tmp_path / "in.post"
         write_posteriors(src, [[0.5, 0.5]])
@@ -183,6 +189,80 @@ class TestDecodeCommand:
         code = cli.main(["decode", str(src), "--hmm", str(hmm), "--out", str(tmp_path / "h")])
         assert code == cli.EXIT_VALIDATION
         assert f"{hmm}: {field} must be" in capsys.readouterr().err
+
+    def test_wrong_length_priors_name_file(self, tmp_path, demo_hmm, capsys):
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.5, 0.3, 0.2]])
+        priors = tmp_path / "priors.txt"
+        priors.write_text("0.5 0.5\n")
+        code = cli.main(["decode", str(src), "--hmm", str(demo_hmm), "--priors", str(priors),
+                         "--out", str(tmp_path / "h")])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{priors}: priors must have one entry per class (3), got 2" in err
+
+
+def decode_argv(src, hmm, out, *extra):
+    return ["decode", str(src), "--hmm", str(hmm), "--order", "4", *extra, "--out", str(out)]
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parse_leaves_no_state(self, tmp_path, demo_hmm, monkeypatch):
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.5, 0.3, 0.2]] * 6)
+        priors = tmp_path / "priors.txt"
+        priors.write_text("0.9 0.05 0.05\n")
+        namespaces = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            namespaces.append(parse_args(parser, *args, **kwargs))
+            return namespaces[-1]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        with_priors = tmp_path / "with_priors.txt"
+        assert cli.main(decode_argv(src, demo_hmm, with_priors, "--priors", str(priors))) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", str(src), "--order", "x"])
+        assert exc.value.code == 2
+        plain = tmp_path / "plain.txt"
+        assert cli.main(decode_argv(src, demo_hmm, plain)) == 0
+        assert namespaces[-1].priors is None
+
+        fresh = tmp_path / "fresh.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "minkdecode.cli",
+                               *decode_argv(src, demo_hmm, fresh)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert plain.read_bytes() == fresh.read_bytes()
+        # The priors change this decode, so a leaked --priors would show.
+        assert with_priors.read_bytes() != plain.read_bytes()
+
+    def test_help_matches_a_fresh_parser(self, tmp_path, demo_hmm, capsys):
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.5, 0.3, 0.2]])
+        assert cli.main(decode_argv(src, demo_hmm, tmp_path / "h")) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["experiment"])
+        fresh = cli.build_parser.__wrapped__()
+        assert fresh is not cli.build_parser()
+        names = ("transform", "curves", "decode", "score", "synth", "experiment")
+        cases = [(["--help"], 0), *(([name, "--help"], 0) for name in names),
+                 (["decode", str(src), "--order", "x"], 2), (["nope"], 2), ([], 2)]
+        for argv, code in cases:
+            texts = []
+            for parse in (cli.build_parser().parse_args, fresh.parse_args):
+                capsys.readouterr()
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                assert exc.value.code == code
+                texts.append(capsys.readouterr())
+            assert texts[0] == texts[1]
+            assert (texts[0].out + texts[0].err).startswith("usage: minkdecode")
 
 
 class TestScoreCommand:
@@ -314,6 +394,35 @@ class TestExperimentCommand:
         assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"manifest.json: field 'noise.{key}'" in err
+
+    @pytest.mark.parametrize("utterances, field", [
+        (5, "utterances"),
+        ([{"id": 5, "posteriors": "u.post", "reference": "u.ref"}], "utterances[0].id"),
+        ([{"id": ["x"], "posteriors": "u.post", "reference": "u.ref"}], "utterances[0].id"),
+    ], ids=["count", "id-int", "id-list"])
+    def test_mistyped_manifest_entry(self, tmp_path, demo_hmm, capsys, utterances, field):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_posteriors(corpus / "u.post", [[0.5, 0.3, 0.2]])
+        (corpus / "u.ref").write_text("red\n")
+        manifest = corpus / "manifest.json"
+        manifest.write_text(json.dumps({"utterances": utterances}))
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"hmm": demo_hmm.name,
+                                   "corpus": {"manifest": "corpus/manifest.json"}}))
+        assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
+        assert f"{manifest}: field '{field}' must be" in capsys.readouterr().err
+
+    def test_wrong_length_priors_name_file(self, tmp_path, demo_hmm, capsys):
+        path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
+        cfg = json.loads(path.read_text())
+        cfg["priors"] = "priors.txt"
+        path.write_text(json.dumps(cfg))
+        (tmp_path / "priors.txt").write_text("0.2 0.2 0.2 0.4\n")
+        assert cli.main(["experiment", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'priors.txt'}: priors must have one entry per class (3), got 4" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_machine_format_stdout(self, tmp_path, demo_hmm, capsys):
         cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.2, 7, orders=(2, 4))

@@ -173,6 +173,7 @@ class TestHmmFormat:
         ("initial", "ab"),
         ("initial", ["0.5", "0.5"]),
         ("transitions", [[0.5, 0.5], [1.0]]),
+        ("labels", [1, ["x"]]),
     ])
     def test_mistyped_field_names_file(self, tmp_path, field, value):
         doc = {"num_states": 2, "initial": [0.5, 0.5],
@@ -334,6 +335,27 @@ class TestManifest:
         p = tmp_path / MANIFEST_NAME
         p.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="unique"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("utterances, field", [
+        (5, "utterances"),
+        ({"u0": "u.post"}, "utterances"),
+        (["u0"], "utterances[0]"),
+        ([{"id": 5, "posteriors": "u.post", "reference": "u.ref"}], "utterances[0].id"),
+        ([{"id": ["x"], "posteriors": "u.post", "reference": "u.ref"}], "utterances[0].id"),
+        ([{"id": "u0", "posteriors": 5, "reference": "u.ref"}], "utterances[0].posteriors"),
+        ([{"id": "u0", "posteriors": "u.post", "reference": None}], "utterances[0].reference"),
+        ([{"id": "u0", "posteriors": "u.post", "reference": "u.ref"},
+          {"id": "u1", "reference": "u.ref"}], "utterances[1].posteriors"),
+    ], ids=["count", "object", "entry-string", "id-int", "id-list", "posteriors-int",
+            "reference-null", "posteriors-missing"])
+    def test_mistyped_entry_names_field(self, tmp_path, rng, utterances, field):
+        save_posteriors(make_random_posteriors(rng, 1, 2), tmp_path / "u.post")
+        save_transcript(("a",), tmp_path / "u.ref")
+        p = tmp_path / MANIFEST_NAME
+        p.write_text(json.dumps({"utterances": utterances}))
+        prefix = re.escape(f"{p}: field '{field}' ")
+        with pytest.raises(DataFormatError, match=f"^{prefix}"):
             load_manifest(p)
 
 
