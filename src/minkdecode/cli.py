@@ -9,7 +9,7 @@ Subcommands:
 * ``synth``      - generate a seeded synthetic corpus
 * ``experiment`` - decode a corpus at several orders and compare WER
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 solver failure.
+Exit codes: 0 success, 2 validation error, 3 I/O error.
 This module only parses arguments and maps errors to exit codes; the work
 is done in `pipeline`. The argument parser is built once per process, on
 the first `main` call, and reused by every later in-process call. All
@@ -27,14 +27,13 @@ import sys
 from pathlib import Path
 
 from . import dataio, pipeline
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .posteriors import transform_matrix
 from .scoring import align_and_score
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-EXIT_SOLVER = 4
 
 
 def cmd_transform(args) -> int:
@@ -88,17 +87,13 @@ def cmd_synth(args) -> int:
 
 def cmd_experiment(args) -> int:
     config_path = Path(args.config)
-    try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{config_path}: invalid JSON: {exc.msg}") from None
+    config = dataio.load_json(config_path)
     report = pipeline.run_experiment(config, config_path.parent)
     for r in report.results:
         print(f"order {r.order}: decoded in {r.decode_seconds:.3f}s", file=sys.stderr)
     doc = pipeline.report_document(report)
-    out = args.out or (str(config_path.parent / config["report"]) if config.get("report") else None)
-    if out:
-        Path(out).write_text(doc, encoding="utf-8")
+    if config.get("report"):
+        (config_path.parent / config["report"]).write_text(doc, encoding="utf-8")
     if args.format == "machine":
         sys.stdout.write(doc)
     else:
@@ -163,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="order-comparison experiment from a JSON config")
     p.add_argument("config")
     p.add_argument("--format", choices=("table", "machine"), default="table")
-    p.add_argument("--out", help="write the machine-readable report here")
     p.set_defaults(func=cmd_experiment)
 
     return parser
@@ -176,9 +170,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

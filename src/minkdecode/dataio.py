@@ -8,10 +8,14 @@ save -> load round-trips are exact):
 * HMM: JSON with fields num_states, initial, transitions, labels,
   state_to_class; probabilities are stored linearly and converted to logs
   on load. Labels must be strings. Unknown fields are rejected.
+  `load_hmm` checks the JSON types and `num_states`; `HmmModel` the rest.
 * transcript: one token per line.
 * corpus manifest: JSON listing utterance ids and their posterior and
   reference files (all strings), plus the generator seed and noise
   parameters.
+
+`load_json` reads every JSON document; `json_field` is the one type check
+for the fields of a config, a manifest and a noise spec.
 
 The corpus generator simulates an acoustic model's posteriors along a state
 path sampled from the HMM. Randomness comes from SplitMix64, a named
@@ -52,6 +56,8 @@ __all__ = [
     "SplitMix64",
     "splitmix64_doubles",
     "format_float",
+    "json_field",
+    "load_json",
     "load_posteriors",
     "save_posteriors",
     "load_hmm",
@@ -82,7 +88,8 @@ def format_float(x: float) -> str:
 def load_posteriors(path) -> PosteriorMatrix:
     """Read a posterior matrix file, checking every row against the format.
 
-    All values are parsed in one bulk call and checked as one array. Only
+    All values are parsed in one bulk call and checked as one array, the
+    row sums by `check_row_sums` and the entries by `PosteriorMatrix`. Only
     when a check fails is the file walked row by row again, to name the
     first bad line.
     """
@@ -116,13 +123,12 @@ def load_posteriors(path) -> PosteriorMatrix:
             values = np.array(rows, dtype=np.float64).reshape(frames, classes)
         except ValueError:  # a token float() rejects
             pass
-    # NaN fails both comparisons, so this also rejects non-finite entries.
-    if (
-        values is None
-        or not ((values >= 0) & (values <= 1)).all()
-        or check_row_sums(values) is not None
-    ):
-        values = _load_rows(path, lines, frames, classes)
+    if values is not None and check_row_sums(values) is None:
+        try:
+            return PosteriorMatrix(values)
+        except ValidationError:  # _load_rows names the bad line
+            pass
+    values = _load_rows(path, lines, frames, classes)
     try:
         return PosteriorMatrix(values)
     except ValidationError as exc:
@@ -148,7 +154,7 @@ def _load_rows(path: Path, lines: list[str], frames: int, classes: int) -> np.nd
         except ValueError:
             bad = next(tok for tok in tokens if not _is_float(tok))
             raise DataFormatError(path, lineno, f"non-numeric token {bad!r}") from None
-        if not np.isfinite(rows[k]).all() or (rows[k] < 0).any() or (rows[k] > 1).any():
+        if not ((rows[k] >= 0) & (rows[k] <= 1)).all():
             raise DataFormatError(path, lineno, "probabilities must be in [0, 1]")
         bad_row = check_row_sums(rows[k : k + 1])
         if bad_row is not None:
@@ -175,6 +181,33 @@ def save_posteriors(matrix: PosteriorMatrix, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# JSON documents
+# ---------------------------------------------------------------------------
+
+def load_json(path: Path):
+    """The JSON document in the file at path; a syntax error names its line."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+
+
+_JSON_KINDS = {int: "an integer", numbers.Real: "a number", str: "a string",
+               bool: "true or false", list: "a list", dict: "an object"}
+
+
+def json_field(value, kind: type, field: str, what: str | None = None):
+    """value if it has the JSON type kind (a key of _JSON_KINDS), else a ValidationError.
+
+    A bool is never an integer or a number. The message names field, and
+    what (if given) in place of the type.
+    """
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ValidationError(f"field '{field}' must be {what or _JSON_KINDS[kind]}, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # HMM documents
 # ---------------------------------------------------------------------------
 
@@ -183,10 +216,7 @@ _HMM_FIELDS = {"num_states", "initial", "transitions", "labels", "state_to_class
 
 def load_hmm(path) -> HmmModel:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise DataFormatError(path, None, "HMM document must be a JSON object")
     unknown = set(doc) - _HMM_FIELDS
@@ -202,16 +232,12 @@ def load_hmm(path) -> HmmModel:
     trans = _numbers(path, doc, "transitions")
     if init.shape != (n,):
         raise DataFormatError(path, None, f"initial must have {n} entries, got shape {init.shape}")
-    if trans.shape != (n, n):
-        raise DataFormatError(path, None, f"transitions must be {n}x{n}, got shape {trans.shape}")
     labels = doc["labels"]
     s2c = doc["state_to_class"]
-    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+    if not isinstance(labels, list):
         raise DataFormatError(path, None, f"labels must be a list of strings, got {labels!r}")
     if not isinstance(s2c, list):
         raise DataFormatError(path, None, f"state_to_class must be a list, got {s2c!r}")
-    if len(labels) != n or len(s2c) != n:
-        raise DataFormatError(path, None, "labels and state_to_class must have one entry per state")
     try:
         return HmmModel.from_probs(init, trans, labels, s2c)
     except ValidationError as exc:
@@ -292,9 +318,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("concentration", "confusion_rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"field 'noise.{name}' must be a number, got {value!r}")
+            value = json_field(getattr(self, name), numbers.Real, f"noise.{name}")
             object.__setattr__(self, name, float(value))
         if math.isnan(self.concentration) or self.concentration <= 0.0:
             raise ValidationError(
@@ -304,16 +328,13 @@ class NoiseSpec:
             raise ValidationError(
                 f"field 'noise.confusion_rate' must be in [0, 1], got {self.confusion_rate!r}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValidationError(f"field 'noise.seed' must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= json_field(self.seed, int, "noise.seed") < 2**64:
             raise ValidationError("field 'noise.seed' must fit in 64 bits")
 
     @classmethod
     def from_json(cls, doc) -> "NoiseSpec":
         """The spec stored as a JSON ``noise`` object; other keys are ignored."""
-        if not isinstance(doc, dict):
-            raise ValidationError(f"field 'noise' must be an object, got {doc!r}")
+        json_field(doc, dict, "noise")
         for name in ("concentration", "confusion_rate", "seed"):
             if name not in doc:
                 raise ValidationError(f"field 'noise.{name}' is missing")
@@ -375,42 +396,25 @@ def _relative_to(p, base: Path) -> str:
 
 def load_manifest(path) -> CorpusManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    doc = load_json(path)
     if not isinstance(doc, dict) or "utterances" not in doc:
         raise DataFormatError(path, None, "manifest must be an object with 'utterances'")
-    noise = None
-    if doc.get("noise") is not None:
-        try:
-            noise = NoiseSpec.from_json(doc["noise"])
-        except ValidationError as exc:
-            raise DataFormatError(path, None, str(exc)) from None
-    entries = doc["utterances"]
-    if not isinstance(entries, list):
-        raise DataFormatError(
-            path, None, f"field 'utterances' must be a list of objects, got {entries!r}"
-        )
     base = path.parent
-    utts = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise DataFormatError(
-                path, None, f"field 'utterances[{i}]' must be an object, got {entry!r}"
-            )
-        for key in ("id", "posteriors", "reference"):
-            value = entry.get(key)
-            if not isinstance(value, str):
-                raise DataFormatError(
-                    path, None, f"field 'utterances[{i}].{key}' must be a string, got {value!r}"
-                )
-        utt = CorpusUtterance(entry["id"], base / entry["posteriors"], base / entry["reference"])
-        for p in (utt.posteriors_path, utt.reference_path):
-            if not p.exists():
-                raise DataFormatError(path, None, f"referenced file {p} does not exist")
-        utts.append(utt)
     try:
+        noise = None if doc.get("noise") is None else NoiseSpec.from_json(doc["noise"])
+        entries = json_field(doc["utterances"], list, "utterances", "a list of objects")
+        utts = []
+        for i, entry in enumerate(entries):
+            json_field(entry, dict, f"utterances[{i}]")
+            uid, post, ref = (
+                json_field(entry.get(key), str, f"utterances[{i}].{key}")
+                for key in ("id", "posteriors", "reference")
+            )
+            utt = CorpusUtterance(uid, base / post, base / ref)
+            for p in (utt.posteriors_path, utt.reference_path):
+                if not p.exists():
+                    raise ValidationError(f"referenced file {p} does not exist")
+            utts.append(utt)
         return CorpusManifest(tuple(utts), noise)
     except ValidationError as exc:
         raise DataFormatError(path, None, str(exc)) from None

@@ -9,6 +9,10 @@ oracle when the DP's prefix sums differed, and the two may then return
 different paths of equal score; LOG_FLOOR entries make this much likelier.
 Emission scores come from a LogScoreMatrix through the model's
 state-to-class column map.
+
+`HmmModel` owns the model's invariants (string labels, one label and class
+per state, distributions summing to 1 by `posteriors.check_row_sums`);
+`dataio.load_hmm` checks only the file's JSON types and `num_states`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .posteriors import LOG_FLOOR, LogScoreMatrix
+from .posteriors import LOG_FLOOR, LogScoreMatrix, check_row_sums
 
 __all__ = [
     "HmmModel",
@@ -33,16 +37,15 @@ __all__ = [
 EXHAUSTIVE_PATH_LIMIT = 10_000_000
 _CHUNK = 1 << 16
 
-DIST_SUM_TOLERANCE = 1e-6
-
 
 @dataclass(frozen=True)
 class HmmModel:
     """State set with log-domain initial/transition scores and label maps.
 
     `state_labels[s]` is the output token of state s; `state_to_class[s]`
-    is the posterior-matrix column that scores it. exp(log_initial) and
-    each exp(transition row) must sum to 1 within 1e-6. Zero probabilities
+    is the posterior-matrix column that scores it. Labels must be strings;
+    nothing is converted to one. exp(log_initial) and each exp(transition
+    row) must sum to 1 within 1e-6 (`check_row_sums`). Zero probabilities
     are floored at LOG_FLOOR rather than -inf.
     """
 
@@ -55,7 +58,9 @@ class HmmModel:
         init = np.asarray(self.log_initial, dtype=np.float64)
         trans = np.asarray(self.log_transitions, dtype=np.float64)
         s2c = _class_indices(self.state_to_class)
-        labels = tuple(str(l) for l in self.state_labels)
+        labels = tuple(self.state_labels)
+        if not all(isinstance(lab, str) for lab in labels):
+            raise ValidationError(f"labels must be strings, got {list(labels)!r}")
         if init.ndim != 1:
             raise ValidationError("log_initial must be a vector")
         n = init.shape[0]
@@ -73,15 +78,14 @@ class HmmModel:
         for name, arr in (("log_initial", init), ("log_transitions", trans)):
             if np.isnan(arr).any() or (arr == np.inf).any():
                 raise ValidationError(f"{name} has a NaN or +inf entry")
-        if abs(np.exp(init).sum() - 1.0) > DIST_SUM_TOLERANCE:
+        if check_row_sums(np.exp(init)[None, :]) is not None:
             raise ValidationError(
                 f"exp(log_initial) sums to {np.exp(init).sum()!r}, expected 1"
             )
-        row_sums = np.exp(trans).sum(axis=1)
-        bad = np.flatnonzero(np.abs(row_sums - 1.0) > DIST_SUM_TOLERANCE)
-        if bad.size:
+        row = check_row_sums(np.exp(trans))
+        if row is not None:
             raise ValidationError(
-                f"transition row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1"
+                f"transition row {row} sums to {np.exp(trans[row]).sum()!r}, expected 1"
             )
         for arr in (init, trans, s2c):
             arr.setflags(write=False)

@@ -85,10 +85,7 @@ class Posterior:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v) or not 0.0 <= v <= 1.0:
-            raise ValidationError(f"posterior must be in [0, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _unit_interval(self.value, "posterior"))
 
 
 @dataclass(frozen=True)
@@ -176,11 +173,11 @@ def _posterior_value(mu) -> float:
     return Posterior(mu).value
 
 
-def _check_prediction(y) -> float:
-    y = float(y)
-    if math.isnan(y) or not 0.0 <= y <= 1.0:
-        raise ValidationError(f"prediction must be in [0, 1], got {y!r}")
-    return y
+def _unit_interval(x, name: str) -> float:
+    """x as a float in [0, 1]; NaN fails the comparison and is refused too."""
+    if not 0.0 <= float(x) <= 1.0:
+        raise ValidationError(f"{name} must be in [0, 1], got {x!r}")
+    return float(x)
 
 
 def expected_loss(y: float, mu, order) -> float:
@@ -190,7 +187,7 @@ def expected_loss(y: float, mu, order) -> float:
     ones; for y in [0, 1] the signed and absolute-value forms of the loss
     coincide.
     """
-    y = _check_prediction(y)
+    y = _unit_interval(y, "prediction")
     mu = _posterior_value(mu)
     n = _check_order_int(order)
     return (1.0 - mu) * y**n + mu * (1.0 - y) ** n

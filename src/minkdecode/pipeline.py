@@ -103,18 +103,49 @@ class ExperimentReport:
     config_echo: dict
 
 
-def _config_int(value, field: str) -> int:
-    """A JSON integer from the experiment config; anything else is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"config field '{field}' must be an integer, got {value!r}")
-    return value
+_CONFIG_FIELDS = {"hmm", "orders", "renormalize", "priors", "corpus", "report"}
 
 
-def _config_path(value, field: str) -> str:
-    """A file or directory name from the experiment config: a JSON string, nothing else."""
-    if not isinstance(value, str):
-        raise ValidationError(f"config field '{field}' must be a string, got {value!r}")
-    return value
+def _read_config(config) -> tuple[tuple[int, ...], bool, dict, dataio.NoiseSpec | None]:
+    """Check every field of an experiment config against its JSON type.
+
+    Returns the orders, the renormalize flag, the corpus object and, when
+    the corpus is to be generated, its noise spec. Messages name the field
+    and leave it to the caller to say that the field is the config's.
+    """
+    field = dataio.json_field
+    if not isinstance(config, dict):
+        raise ValidationError("must be a JSON object")
+    unknown = set(config) - _CONFIG_FIELDS
+    if unknown:
+        raise ValidationError(f"has unknown fields {sorted(unknown)}")
+    for name in ("hmm", "corpus"):
+        if name not in config:
+            raise ValidationError(f"field '{name}' is missing")
+    field(config["hmm"], str, "hmm")
+    # Optional, null means none. The caller writes the report; checking it
+    # here refuses a bad one before anything is decoded.
+    for name in ("priors", "report"):
+        if config.get(name) is not None:
+            field(config[name], str, name)
+    orders = field(config.get("orders", list(DEFAULT_ORDERS)), list, "orders", "a list of integers")
+    orders = tuple(field(n, int, "orders") for n in orders)
+    renormalize = field(config.get("renormalize", True), bool, "renormalize")
+    corpus = field(config["corpus"], dict, "corpus")
+    if "manifest" in corpus:
+        field(corpus["manifest"], str, "corpus.manifest")
+        return orders, renormalize, corpus, None
+    for key in ("dir", "utterances", "frames", "noise"):
+        if key not in corpus:
+            raise ValidationError(f"field 'corpus.{key}' is missing")
+    field(corpus["dir"], str, "corpus.dir")
+    field(corpus["utterances"], int, "utterances")
+    frames = field(corpus["frames"], list, "frames", "[lo, hi]")
+    if len(frames) != 2:
+        raise ValidationError(f"field 'frames' must be [lo, hi], got {frames!r}")
+    for bound in frames:
+        field(bound, int, "frames")
+    return orders, renormalize, corpus, dataio.NoiseSpec.from_json(corpus["noise"])
 
 
 def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
@@ -122,57 +153,23 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
 
     The same loaded posterior matrices are reused for every order, so the
     transform is the only varying factor. Relative reduction is computed
-    against the order-2 result when present.
+    against the order-2 result when present. Every config field is checked
+    before any file is read.
     """
-    if not isinstance(config, dict):
-        raise ValidationError("experiment config must be a JSON object")
-    unknown = set(config) - {"hmm", "orders", "renormalize", "priors", "corpus", "report"}
-    if unknown:
-        raise ValidationError(f"unknown config fields {sorted(unknown)}")
-    if "hmm" not in config or "corpus" not in config:
-        raise ValidationError("config needs 'hmm' and 'corpus'")
-    # Optional, null means none. The caller writes the report; checking it
-    # here refuses a bad one before anything is decoded.
-    for field in ("priors", "report"):
-        if config.get(field) is not None:
-            _config_path(config[field], field)
-    hmm = dataio.load_hmm(base_dir / _config_path(config["hmm"], "hmm"))
-    orders = config.get("orders", list(DEFAULT_ORDERS))
-    if not isinstance(orders, list):
-        raise ValidationError(f"config field 'orders' must be a list of integers, got {orders!r}")
-    orders = tuple(_config_int(n, "orders") for n in orders)
-    renormalize = config.get("renormalize", True)
-    if not isinstance(renormalize, bool):
-        raise ValidationError(
-            f"config field 'renormalize' must be true or false, got {renormalize!r}"
-        )
+    try:
+        orders, renormalize, corpus, noise = _read_config(config)
+    except ValidationError as exc:
+        raise ValidationError(f"config {exc}") from None
+    hmm = dataio.load_hmm(base_dir / config["hmm"])
     priors = None
     if config.get("priors"):
         priors_path = base_dir / config["priors"]
         priors = dataio.load_priors(priors_path)
-
-    corpus = config["corpus"]
-    if not isinstance(corpus, dict):
-        raise ValidationError("'corpus' must be an object")
-    if "manifest" in corpus:
-        manifest = dataio.load_manifest(base_dir / _config_path(corpus["manifest"], "corpus.manifest"))
+    if noise is None:
+        manifest = dataio.load_manifest(base_dir / corpus["manifest"])
     else:
-        for key in ("dir", "utterances", "frames", "noise"):
-            if key not in corpus:
-                raise ValidationError(f"corpus generation needs '{key}'")
-        try:
-            noise = dataio.NoiseSpec.from_json(corpus["noise"])
-        except ValidationError as exc:
-            raise ValidationError(f"config {exc}") from None
-        frames = corpus["frames"]
-        if not (isinstance(frames, list) and len(frames) == 2):
-            raise ValidationError(f"config field 'frames' must be [lo, hi], got {frames!r}")
         manifest = dataio.generate_corpus(
-            hmm,
-            _config_int(corpus["utterances"], "utterances"),
-            (_config_int(frames[0], "frames"), _config_int(frames[1], "frames")),
-            noise,
-            base_dir / _config_path(corpus["dir"], "corpus.dir"),
+            hmm, corpus["utterances"], tuple(corpus["frames"]), noise, base_dir / corpus["dir"]
         )
 
     loaded = [
@@ -203,10 +200,10 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
             reduction = 0.0 if order2_wer == 0.0 else (order2_wer - rep.wer) / order2_wer
         out.append(OrderResult(order, rep, elapsed, reduction))
     echo = {
-        "hmm": str(config["hmm"]),
+        "hmm": config["hmm"],
         "orders": list(orders),
         "renormalize": renormalize,
-        "priors": str(config["priors"]) if config.get("priors") else None,
+        "priors": config.get("priors") or None,
         "corpus": corpus,
     }
     return ExperimentReport(tuple(out), echo)

@@ -7,6 +7,10 @@ by row renormalization. Because the scalar transform is strictly
 increasing, neither step can change a row's argmax or its full sort order;
 renormalization only shifts that frame's log-scores by a constant, which
 the Viterbi path is invariant to.
+
+Both matrix types check their shape and entries in one shared base (one
+pass over the entries: in [0, 1] for posteriors, finite for log scores);
+`check_row_sums` is the one row-sum check, also used by `HmmModel`.
 """
 
 from __future__ import annotations
@@ -33,19 +37,45 @@ LOG_FLOOR = -1e30
 ROW_SUM_TOLERANCE = 1e-6
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 2:
-        raise ValidationError(
-            f"{name} needs >= 1 frame and >= 2 classes, got shape {arr.shape}"
-        )
-    return arr
-
-
 @dataclass(frozen=True)
-class PosteriorMatrix:
+class _Matrix:
+    """frames x classes float64 matrix with finite entries, stored as a read-only copy.
+
+    Needs at least one frame and two classes. A subclass names itself in
+    `_KIND` and sets which entries it accepts with `_RULE` and `_accepts`.
+    """
+
+    values: np.ndarray
+    _KIND = "matrix"  # class attributes, not fields: they carry no annotation
+    _RULE = "finite"
+
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValidationError(f"{self._KIND} must be 2-dimensional, got shape {arr.shape}")
+        if arr.shape[0] < 1 or arr.shape[1] < 2:
+            raise ValidationError(
+                f"{self._KIND} needs >= 1 frame and >= 2 classes, got shape {arr.shape}"
+            )
+        if not self._accepts(arr).all():
+            raise ValidationError(f"{self._KIND} entries must be {self._RULE}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+    @staticmethod
+    def _accepts(arr: np.ndarray) -> np.ndarray:
+        return np.isfinite(arr)
+
+    @property
+    def frames(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def classes(self) -> int:
+        return self.values.shape[1]
+
+
+class PosteriorMatrix(_Matrix):
     """frames x classes matrix of per-frame class posteriors.
 
     Entries are validated to lie in [0, 1]. Rows sum to 1 when the matrix
@@ -54,52 +84,23 @@ class PosteriorMatrix:
     the entries.
     """
 
-    values: np.ndarray
+    _KIND = "posterior matrix"
+    _RULE = "in [0, 1]"
 
-    def __post_init__(self):
-        arr = _as_matrix(self.values, "posterior matrix")
-        if not np.isfinite(arr).all():
-            raise ValidationError("posterior matrix has non-finite entries")
-        if (arr < 0.0).any() or (arr > 1.0).any():
-            raise ValidationError("posterior matrix entries must be in [0, 1]")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def classes(self) -> int:
-        return self.values.shape[1]
+    @staticmethod
+    def _accepts(arr: np.ndarray) -> np.ndarray:
+        # NaN fails both comparisons, so this also rejects non-finite entries.
+        return (arr >= 0) & (arr <= 1)
 
 
-@dataclass(frozen=True)
-class LogScoreMatrix:
+class LogScoreMatrix(_Matrix):
     """frames x classes natural-log scores for the decoder.
 
     Entries are ln of a probability (exact zeros floored at LOG_FLOOR);
     dividing by priors can push entries above 0.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.values, "log-score matrix")
-        if not np.isfinite(arr).all():
-            raise ValidationError("log-score matrix entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def classes(self) -> int:
-        return self.values.shape[1]
+    _KIND = "log-score matrix"
 
 
 def transform_matrix(p: PosteriorMatrix, order, renormalize: bool = True) -> PosteriorMatrix:
@@ -110,9 +111,7 @@ def transform_matrix(p: PosteriorMatrix, order, renormalize: bool = True) -> Pos
     constant and cannot change the decoded path, only score magnitudes.
     """
     out = transform_values(p.values, order)
-    if renormalize:
-        return renormalize_rows(out)
-    return PosteriorMatrix(out)
+    return PosteriorMatrix(_divide_rows(out) if renormalize else out)
 
 
 def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
@@ -140,16 +139,19 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
 
 def renormalize_rows(raw) -> PosteriorMatrix:
     """Rescale a nonnegative matrix so every row sums to 1 (within 1e-12)."""
-    arr = _as_matrix(raw, "matrix")
-    if not np.isfinite(arr).all():
-        raise ValidationError("matrix has non-finite entries")
+    arr = _Matrix(raw).values
     if (arr < 0.0).any():
         raise ValidationError("matrix entries must be nonnegative")
+    return PosteriorMatrix(_divide_rows(arr))
+
+
+def _divide_rows(arr: np.ndarray) -> np.ndarray:
+    """arr with each row divided by its sum; a row summing to zero or less is refused."""
     sums = arr.sum(axis=1)
     zero_rows = np.flatnonzero(sums <= 0.0)
     if zero_rows.size:
         raise ValidationError(f"row {zero_rows[0]} sums to zero; cannot renormalize")
-    return PosteriorMatrix(arr / sums[:, None])
+    return arr / sums[:, None]
 
 
 def check_row_sums(values: np.ndarray) -> int | None:

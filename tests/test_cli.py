@@ -429,3 +429,20 @@ class TestExperimentCommand:
         assert cli.main(["experiment", str(cfg), "--format", "machine"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [entry["order"] for entry in doc["orders"]] == [2, 4]
+
+
+@pytest.mark.parametrize("kind", ["hmm", "manifest", "config"])
+def test_invalid_json_names_file_and_line(tmp_path, demo_hmm, capsys, kind):
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text('{\n  "num_states": 1,\n  oops\n}\n')
+    write_posteriors(tmp_path / "in.post", [[0.5, 0.3, 0.2]])
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"hmm": demo_hmm.name, "corpus": {"manifest": bad.name}}))
+    argv = {
+        "hmm": ["decode", str(tmp_path / "in.post"), "--hmm", str(bad),
+                "--out", str(tmp_path / "hyp.txt")],
+        "manifest": ["experiment", str(cfg)],
+        "config": ["experiment", str(bad)],
+    }[kind]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"{bad}:3: invalid JSON: " in capsys.readouterr().err

@@ -49,6 +49,11 @@ class TestHmmModel:
         with pytest.raises(ValidationError, match="state_to_class entries must be integers"):
             HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a", "b"], [0.0, 1.7])
 
+    @pytest.mark.parametrize("labels", [[["x"]], [1]], ids=["list", "int"])
+    def test_rejects_non_string_labels(self, labels):
+        with pytest.raises(ValidationError, match="labels must be strings"):
+            HmmModel.from_probs([1.0], [[1.0]], labels, [0])
+
     def test_accepts_integral_float_state_to_class(self):
         hmm = HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a", "b"], [0.0, 1.0])
         assert hmm.state_to_class.tolist() == [0, 1]

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as npst
 
 from minkdecode import (
     LOG_FLOOR,
+    LogScoreMatrix,
     PosteriorMatrix,
     ValidationError,
     closed_form_transform,
@@ -44,6 +45,33 @@ class TestPosteriorMatrix:
         m = make_random_posteriors(rng, 2, 2)
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.3
+
+
+@pytest.mark.parametrize("matrix_type", [PosteriorMatrix, LogScoreMatrix])
+class TestMatrixTypes:
+    @pytest.mark.parametrize("values", [
+        [[np.nan, 0.5]],
+        [[np.inf, 0.5]],
+        [[-np.inf, 0.5]],
+        [0.5, 0.5],
+        np.empty((0, 2)),
+        [[0.5]],
+    ], ids=["nan", "inf", "-inf", "1-d", "zero-frames", "one-class"])
+    def test_rejects(self, matrix_type, values):
+        with pytest.raises(ValidationError):
+            matrix_type(values)
+
+    def test_values_read_only(self, matrix_type):
+        m = matrix_type([[0.5, 0.5]])
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 0.25
+
+    def test_keeps_a_copy(self, matrix_type):
+        source = np.array([[0.5, 0.5], [0.25, 0.75]])
+        m = matrix_type(source)
+        source[0, 0] = 0.125
+        assert m.values.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert (m.frames, m.classes) == (2, 2)
 
 
 class TestTransformMatrix:
