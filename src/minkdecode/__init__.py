@@ -14,7 +14,6 @@ from .minkowski import (
     LossOrder,
     Posterior,
     RootAnalysis,
-    SolverConfig,
     analyze_odd_order,
     brute_force_transform,
     closed_form_transform,
@@ -43,7 +42,6 @@ __all__ = [
     "Posterior",
     "PosteriorMatrix",
     "RootAnalysis",
-    "SolverConfig",
     "SolverError",
     "ValidationError",
     "WerReport",

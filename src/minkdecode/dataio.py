@@ -3,8 +3,9 @@
 Formats (all UTF-8 text, floats written with 17 significant digits so that
 save -> load round-trips are exact):
 
-* posterior matrix: first line ``frames classes``, then one line per frame
-  with space-separated probabilities; rows must sum to 1 within 1e-6.
+* posterior matrix: first line ``frames classes``, at least 1 frame and 2
+  classes, then one line per frame with space-separated probabilities;
+  rows must sum to 1 within 1e-6.
 * HMM: JSON with fields num_states, initial, transitions, labels,
   state_to_class; probabilities are stored linearly and converted to logs
   on load. Labels must be strings. Unknown fields are rejected.
@@ -42,12 +43,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path, PurePath
+from typing import NoReturn
 
 import numpy as np
 
 from .decoder import HmmModel, collapse_tokens
 from .errors import DataFormatError, ValidationError
-from .posteriors import PosteriorMatrix, check_row_sums
+from .posteriors import ROW_SUM_TOLERANCE, PosteriorMatrix, check_row_sums
 
 __all__ = [
     "NoiseSpec",
@@ -88,10 +90,10 @@ def format_float(x: float) -> str:
 def load_posteriors(path) -> PosteriorMatrix:
     """Read a posterior matrix file, checking every row against the format.
 
-    All values are parsed in one bulk call and checked as one array, the
-    row sums by `check_row_sums` and the entries by `PosteriorMatrix`. Only
-    when a check fails is the file walked row by row again, to name the
-    first bad line.
+    The header is checked first, at line 1. All values are then parsed in
+    one bulk call and checked as one array: its shape, the row sums by
+    `check_row_sums` and the entries by `PosteriorMatrix`. If any of that
+    fails, `_raise_first_bad_line` walks the file to name the bad line.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -117,51 +119,45 @@ def load_posteriors(path) -> PosteriorMatrix:
         raise DataFormatError(
             path, 1, f"malformed header {lines[0]!r}; class count must be >= 0"
         )
-    values = None
-    if all(len(tokens) == classes for tokens in rows):
-        try:
-            values = np.array(rows, dtype=np.float64).reshape(frames, classes)
-        except ValueError:  # a token float() rejects
-            pass
-    if values is not None and check_row_sums(values) is None:
-        try:
-            return PosteriorMatrix(values)
-        except ValidationError:  # _load_rows names the bad line
-            pass
-    values = _load_rows(path, lines, frames, classes)
+    if frames < 1 or classes < 2:
+        raise DataFormatError(
+            path, 1, f"malformed header {lines[0]!r}; needs >= 1 frame and >= 2 classes"
+        )
     try:
-        return PosteriorMatrix(values)
-    except ValidationError as exc:
-        raise DataFormatError(path, None, str(exc)) from None
+        values = np.array(rows, dtype=np.float64)
+        if values.shape == (frames, classes) and check_row_sums(values) is None:
+            return PosteriorMatrix(values)
+    except ValueError:  # ragged rows, a token float() rejects, or an entry outside [0, 1]
+        pass
+    _raise_first_bad_line(path, lines, classes)
 
 
-def _load_rows(path: Path, lines: list[str], frames: int, classes: int) -> np.ndarray:
-    """Parse and check the data rows one line at a time.
+def _raise_first_bad_line(path: Path, lines: list[str], classes: int) -> NoReturn:
+    """Raise a DataFormatError naming the first data line that breaks the format.
 
-    The reference for `load_posteriors`: it raises at the first bad line,
-    and returns the same array when every row is good.
+    `load_posteriors` calls it only when its bulk checks of the rows failed.
     """
-    body = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    rows = np.empty((frames, classes), dtype=np.float64)
-    for k, (lineno, line) in enumerate(body):
+    for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) != classes:
             raise DataFormatError(
                 path, lineno, f"expected {classes} values, found {len(tokens)}"
             )
         try:
-            rows[k] = [float(tok) for tok in tokens]
+            row = np.array([float(tok) for tok in tokens])
         except ValueError:
             bad = next(tok for tok in tokens if not _is_float(tok))
             raise DataFormatError(path, lineno, f"non-numeric token {bad!r}") from None
-        if not ((rows[k] >= 0) & (rows[k] <= 1)).all():
+        if not ((row >= 0) & (row <= 1)).all():
             raise DataFormatError(path, lineno, "probabilities must be in [0, 1]")
-        bad_row = check_row_sums(rows[k : k + 1])
-        if bad_row is not None:
+        if check_row_sums(row[None, :]) is not None:
             raise DataFormatError(
-                path, lineno, f"row sums to {rows[k].sum()!r}, expected 1 within 1e-06"
+                path, lineno,
+                f"row sums to {row.sum()!r}, expected 1 within {ROW_SUM_TOLERANCE}",
             )
-    return rows
+    raise DataFormatError(path, None, "rows fail the bulk checks, but no single line does")
 
 
 def _is_float(tok: str) -> bool:
@@ -451,9 +447,6 @@ class SplitMix64:
         """Uniform integer in [0, n)."""
         return min(int(self.next_double() * n), n - 1)
 
-    def exponential(self) -> float:
-        return -math.log1p(-self.next_double())
-
     def categorical(self, probs) -> int:
         u = self.next_double()
         acc = 0.0
@@ -501,8 +494,8 @@ def _posterior_rows(draws: np.ndarray, centers: list[int], starts: list[int],
     """One posterior row per frame, centered on centers[f].
 
     starts[f] is the flat index in draws of the first of frame f's `classes`
-    uniforms, each turned into an exponential weight as
-    `SplitMix64.exponential` does.
+    uniforms; each uniform u becomes the exponential weight -log1p(-u),
+    computed with `math.log1p`.
     """
     frame = np.arange(len(centers))
     centers = np.array(centers)
@@ -539,18 +532,19 @@ def generate_corpus(
     An utterance's draws are, in order: its frame count; one per frame for
     its state path; then for each frame a confusion draw, one more naming
     the wrong class if the frame is confused, and one exponential per class
-    (none when the concentration is inf).
+    (none when the concentration is inf). num_utterances and the bounds
+    of frames_range must be ints; nothing is converted to one.
     """
-    if num_utterances < 1:
+    if json_field(num_utterances, int, "num_utterances") < 1:
         raise ValidationError("num_utterances must be >= 1")
-    lo, hi = int(frames_range[0]), int(frames_range[1])
+    lo, hi = (json_field(frames_range[k], int, "frames_range") for k in (0, 1))
     if not 1 <= lo <= hi:
         raise ValidationError(f"frames range must satisfy 1 <= lo <= hi, got {frames_range!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     classes = int(hmm.state_to_class.max()) + 1
     if classes < 2:
         raise ValidationError("corpus generation needs at least 2 classes")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     init_cum = list(itertools.accumulate(np.exp(hmm.log_initial).tolist()))
     trans_cum = [list(itertools.accumulate(row)) for row in np.exp(hmm.log_transitions).tolist()]
     state_class = hmm.state_to_class.tolist()

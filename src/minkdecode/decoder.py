@@ -43,7 +43,8 @@ class HmmModel:
     """State set with log-domain initial/transition scores and label maps.
 
     `state_labels[s]` is the output token of state s; `state_to_class[s]`
-    is the posterior-matrix column that scores it. Labels must be strings;
+    is the posterior-matrix column that scores it. Labels must be a
+    sequence of strings (one string is refused, not split into characters);
     nothing is converted to one. exp(log_initial) and each exp(transition
     row) must sum to 1 within 1e-6 (`check_row_sums`). Zero probabilities
     are floored at LOG_FLOOR rather than -inf.
@@ -59,8 +60,11 @@ class HmmModel:
         trans = np.asarray(self.log_transitions, dtype=np.float64)
         s2c = _class_indices(self.state_to_class)
         labels = tuple(self.state_labels)
-        if not all(isinstance(lab, str) for lab in labels):
-            raise ValidationError(f"labels must be strings, got {list(labels)!r}")
+        # One string is a sequence of strings too, but never the labels meant.
+        if isinstance(self.state_labels, str) or not all(isinstance(lab, str) for lab in labels):
+            raise ValidationError(
+                f"labels must be strings, one per state; got {self.state_labels!r}"
+            )
         if init.ndim != 1:
             raise ValidationError("log_initial must be a vector")
         n = init.shape[0]
@@ -108,7 +112,7 @@ class HmmModel:
         with np.errstate(divide="ignore"):
             log_init = np.where(init == 0.0, LOG_FLOOR, np.log(init))
             log_trans = np.where(trans == 0.0, LOG_FLOOR, np.log(trans))
-        return cls(log_init, log_trans, tuple(labels), state_to_class)
+        return cls(log_init, log_trans, labels, state_to_class)
 
 
 def _class_indices(values) -> np.ndarray:

@@ -42,7 +42,6 @@ from .errors import SolverError, ValidationError
 __all__ = [
     "LossOrder",
     "Posterior",
-    "SolverConfig",
     "GradientPolynomial",
     "RootAnalysis",
     "expected_loss",
@@ -53,6 +52,12 @@ __all__ = [
     "brute_force_transform",
     "analyze_odd_order",
 ]
+
+# The oracles' settings: constants, because no caller needs another value.
+NEWTON_TOLERANCE = 1e-12  # absolute bound on the Newton residual and step
+NEWTON_MAX_ITERATIONS = 100
+GRID_STEPS = 1_000_000  # cells of the brute-force grid on [0, 1]
+REAL_ROOT_TOLERANCE = 1e-9  # largest |imaginary part| of a root taken as real
 
 ODD_ORDER_EXPLANATION = (
     "its expected-loss gradient has complex roots, which can't be used as a "
@@ -86,22 +91,6 @@ class Posterior:
 
     def __post_init__(self):
         object.__setattr__(self, "value", _unit_interval(self.value, "posterior"))
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton solver tuning: absolute residual/step tolerance and iteration cap."""
-
-    tolerance: float = 1e-12
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValidationError(f"tolerance must be > 0, got {self.tolerance!r}")
-        if self.max_iterations < 1:
-            raise ValidationError(
-                f"max_iterations must be >= 1, got {self.max_iterations!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,7 @@ class RootAnalysis:
     """Root set of an odd-order gradient polynomial.
 
     `has_valid_probability_root` is true iff some root is real (imaginary
-    part within tolerance) and lies in [0, 1].
+    part within REAL_ROOT_TOLERANCE) and lies in [0, 1].
     """
 
     roots: tuple[complex, ...]
@@ -258,7 +247,7 @@ def closed_form_transform(mu, order) -> float:
     return float(transform_values(_posterior_value(mu), order))
 
 
-def newton_transform(mu, order, config: SolverConfig | None = None) -> float:
+def newton_transform(mu, order) -> float:
     """Root of the even-order gradient polynomial by safeguarded Newton.
 
     Starts at mu**(1/(n-1)) (mirrored for mu > 1/2) and keeps every iterate
@@ -268,14 +257,13 @@ def newton_transform(mu, order, config: SolverConfig | None = None) -> float:
     The start point sits near the root for every mu; starting at mu itself
     would strand the iteration in the flat region near the boundary for
     extreme mu, where |g| <= tolerance long before y is anywhere near the
-    root. Converges when residual and step are both within the tolerance,
-    returning the final polished step; raises SolverError if that does not
-    happen within max_iterations (it does not for mu in [0, 1] under the
-    defaults).
+    root. Converges when residual and step are both within
+    NEWTON_TOLERANCE, returning the final polished step; raises SolverError
+    if that does not happen within NEWTON_MAX_ITERATIONS (it does not for mu
+    in [0, 1]).
     """
     mu = _posterior_value(mu)
     n = LossOrder(order).value
-    cfg = config if config is not None else SolverConfig()
     if mu == 0.0:
         return 0.0
     if mu == 1.0:
@@ -284,14 +272,14 @@ def newton_transform(mu, order, config: SolverConfig | None = None) -> float:
     lo, hi = 0.0, 1.0
     y = mu ** (1.0 / m) if mu <= 0.5 else 1.0 - (1.0 - mu) ** (1.0 / m)
     residual = math.inf
-    for _ in range(cfg.max_iterations):
+    for _ in range(NEWTON_MAX_ITERATIONS):
         g = _grad_value(y, mu, m)
         residual = abs(g)
         if g == 0.0:
             return y
         slope = _grad_slope(y, mu, m)
         step = g / slope if slope > 0.0 else math.inf
-        if residual <= cfg.tolerance and abs(step) <= cfg.tolerance:
+        if residual <= NEWTON_TOLERANCE and abs(step) <= NEWTON_TOLERANCE:
             polished = y - step
             return polished if lo < polished < hi else y
         if g > 0.0:
@@ -303,16 +291,16 @@ def newton_transform(mu, order, config: SolverConfig | None = None) -> float:
             y_next = 0.5 * (lo + hi)
         y = y_next
     raise SolverError(
-        f"Newton failed to reach tolerance {cfg.tolerance} within "
-        f"{cfg.max_iterations} iterations for mu={mu}, order={n}",
+        f"Newton failed to reach tolerance {NEWTON_TOLERANCE} within "
+        f"{NEWTON_MAX_ITERATIONS} iterations for mu={mu}, order={n}",
         last_iterate=y,
         residual=residual,
     )
 
 
 @lru_cache(maxsize=8)
-def _loss_tables(order: int, grid_steps: int):
-    ys = np.linspace(0.0, 1.0, grid_steps + 1)
+def _loss_tables(order: int):
+    ys = np.linspace(0.0, 1.0, GRID_STEPS + 1)
     return ys, ys**order, (1.0 - ys) ** order
 
 
@@ -338,26 +326,24 @@ def _golden_refine(mu: float, n: int, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def brute_force_transform(mu, order, grid_steps: int = 1_000_000) -> float:
+def brute_force_transform(mu, order) -> float:
     """Argmin of the expected loss over a uniform grid on [0, 1].
 
     Independent oracle for the root-based transforms: knows nothing about
     gradients. The grid argmin is refined by one golden-section pass on the
     winning cell; unimodality of the even-order expected loss puts the
-    result within 10/grid_steps of the true minimizer (far closer in
+    result within 10/GRID_STEPS of the true minimizer (far closer in
     practice).
     """
     mu = _posterior_value(mu)
     n = LossOrder(order).value
-    if grid_steps < 100:
-        raise ValidationError(f"grid_steps must be >= 100, got {grid_steps}")
-    ys, pow_y, pow_comp = _loss_tables(n, grid_steps)
+    ys, pow_y, pow_comp = _loss_tables(n)
     losses = (1.0 - mu) * pow_y + mu * pow_comp
     i = int(np.argmin(losses))
-    return _golden_refine(mu, n, ys[max(i - 1, 0)], ys[min(i + 1, grid_steps)])
+    return _golden_refine(mu, n, ys[max(i - 1, 0)], ys[min(i + 1, GRID_STEPS)])
 
 
-def analyze_odd_order(mu, order, real_tolerance: float = 1e-9) -> RootAnalysis:
+def analyze_odd_order(mu, order) -> RootAnalysis:
     """Root set of the odd-order gradient polynomial.
 
     Order 3 (a quadratic in y) is solved analytically; higher odd orders go
@@ -387,6 +373,6 @@ def analyze_odd_order(mu, order, real_tolerance: float = 1e-9) -> RootAnalysis:
         poly = GradientPolynomial(_poly_coefficients(mu, n), n, mu)
         roots = poly.roots()
     valid = any(
-        abs(r.imag) <= real_tolerance and 0.0 <= r.real <= 1.0 for r in roots
+        abs(r.imag) <= REAL_ROOT_TOLERANCE and 0.0 <= r.real <= 1.0 for r in roots
     )
     return RootAnalysis(roots=roots, has_valid_probability_root=valid)

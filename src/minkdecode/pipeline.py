@@ -21,7 +21,7 @@ import numpy as np
 from . import dataio
 from .decoder import HmmModel, viterbi_decode
 from .errors import DataFormatError, ValidationError
-from .minkowski import transform_values
+from .minkowski import LossOrder, transform_values
 from .posteriors import PosteriorMatrix, to_log_scores, transform_matrix
 from .scoring import WerReport, corpus_wer
 
@@ -109,7 +109,8 @@ _CONFIG_FIELDS = {"hmm", "orders", "renormalize", "priors", "corpus", "report"}
 def _read_config(config) -> tuple[tuple[int, ...], bool, dict, dataio.NoiseSpec | None]:
     """Check every field of an experiment config against its JSON type.
 
-    Returns the orders, the renormalize flag, the corpus object and, when
+    Each order must also pass `LossOrder`, the one order validator. Returns
+    the orders, the renormalize flag, the corpus object and, when
     the corpus is to be generated, its noise spec. Messages name the field
     and leave it to the caller to say that the field is the config's.
     """
@@ -129,7 +130,10 @@ def _read_config(config) -> tuple[tuple[int, ...], bool, dict, dataio.NoiseSpec 
         if config.get(name) is not None:
             field(config[name], str, name)
     orders = field(config.get("orders", list(DEFAULT_ORDERS)), list, "orders", "a list of integers")
-    orders = tuple(field(n, int, "orders") for n in orders)
+    try:
+        orders = tuple(LossOrder(n).value for n in orders)
+    except ValidationError as exc:
+        raise ValidationError(f"field 'orders': {exc}") from None
     renormalize = field(config.get("renormalize", True), bool, "renormalize")
     corpus = field(config["corpus"], dict, "corpus")
     if "manifest" in corpus:

@@ -122,6 +122,12 @@ class TestCurvesCommand:
         code = cli.main(["curves", "--order", "5", "--out", str(tmp_path / "c.txt")])
         assert code == cli.EXIT_VALIDATION
 
+    def test_one_point_grid_rejected(self, tmp_path, capsys):
+        out = tmp_path / "c.txt"
+        assert cli.main(["curves", "--grid-points", "1", "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "grid-points must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_svg_written_deterministically(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         for svg in (a, b):
@@ -298,6 +304,9 @@ class TestSynthCommand:
         assert "'abc'" in capsys.readouterr().err
 
 
+MISSING = object()  # a config value that deletes its key
+
+
 def experiment_config(tmp_path, hmm_path, concentration, confusion, seed, orders=(2, 4, 6)):
     cfg = {
         "hmm": hmm_path.name,
@@ -366,19 +375,38 @@ class TestExperimentCommand:
         (None, "report", 6, "report"),
         ("corpus", "dir", 3, "corpus.dir"),
         ("corpus", "manifest", 4, "corpus.manifest"),
+        (None, "orders", [2, 3], "orders"),
+        (None, "hmm", MISSING, "hmm"),
+        ("corpus", "dir", MISSING, "corpus.dir"),
+        ("corpus", "frames", [6, 9, 12], "frames"),
     ], ids=["renormalize", "orders", "utterances", "frames", "noise-seed",
             "noise-concentration", "noise-missing-key", "noise-list", "noise-string",
-            "hmm-path", "priors-path", "report-path", "dir-path", "manifest-path"])
+            "hmm-path", "priors-path", "report-path", "dir-path", "manifest-path",
+            "odd-order", "hmm-missing", "dir-missing", "frames-length"])
     def test_config_values_are_not_coerced(self, tmp_path, demo_hmm, capsys,
                                            section, key, value, field):
         path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
         cfg = json.loads(path.read_text())
         target = {None: cfg, "corpus": cfg["corpus"], "noise": cfg["corpus"]["noise"]}[section]
-        target[key] = value
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
         path.write_text(json.dumps(cfg))
         assert cli.main(["experiment", str(path)]) == cli.EXIT_VALIDATION
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "config must be a JSON object"),
+        ({"hmm": "hmm.json", "corpus": {}, "out": "r.json"}, "config has unknown fields ['out']"),
+    ], ids=["non-object", "unknown-field"])
+    def test_malformed_config(self, tmp_path, capsys, config, message):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["experiment", str(path)]) == cli.EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("seed", 4.7), ("concentration", "5")])
     def test_manifest_noise_is_not_coerced(self, tmp_path, demo_hmm, capsys, key, value):

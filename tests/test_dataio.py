@@ -87,7 +87,8 @@ class TestPosteriorFormat:
 
     # Each bad row follows good rows and a blank line, so the error must name
     # the file's line, not the row's index. Messages are those of the
-    # line-by-line loader. A negative count in the header names line 1.
+    # line-by-line walk. A bad header, or one with too few frames or
+    # classes, names line 1.
     @pytest.mark.parametrize("text, line, message", [
         ("3 2\n0.5 0.5\n\n0.25 0.75\n0.5 0.25 0.25\n", 5, "expected 2 values, found 3"),
         ("3 2\n0.5 0.5\n\n0.5 0.5\n0.5 1e\n", 5, "non-numeric token '1e'"),
@@ -99,8 +100,14 @@ class TestPosteriorFormat:
         ("3 2\n0.5 0.5\n\n0.5 0.5\n\n", 5, "expected 3 data rows, found 2"),
         ("-1 2\n", 1, "expected -1 data rows, found 0"),
         ("1 -1\n0.5 0.5\n", 1, "malformed header '1 -1'; class count must be >= 0"),
+        ("", 1, "empty file; expected a 'frames classes' header"),
+        ("1 x\n0.5 0.5\n", 1, "malformed header '1 x'; expected two integers"),
+        ("0 3\n", 1, "malformed header '0 3'; needs >= 1 frame and >= 2 classes"),
+        ("2 1\n1\n\n1\n", 1, "malformed header '2 1'; needs >= 1 frame and >= 2 classes"),
+        ("2 2\n\n0.5 0.25 0.25\n0.5 0.25 0.25\n", 3, "expected 2 values, found 3"),
     ], ids=["token-count", "non-numeric", "nan", "inf", "out-of-range", "row-sum", "row-count",
-            "negative-frames", "negative-classes"])
+            "negative-frames", "negative-classes", "empty", "non-integer-header", "zero-frames",
+            "one-class", "every-row-too-long"])
     def test_malformed_row_names_file_line(self, tmp_path, text, line, message):
         p = tmp_path / "m.post"
         p.write_text(text)
@@ -108,6 +115,18 @@ class TestPosteriorFormat:
             load_posteriors(p)
         assert err.value.line == line
         assert str(err.value) == f"{p}:{line}: {message}"
+
+    def test_failed_bulk_check_always_raises(self, tmp_path, monkeypatch):
+        # Should the whole-array checks refuse rows that pass line by line,
+        # the loader still raises instead of returning.
+        def refuse(values):
+            raise ValidationError("refused")
+
+        monkeypatch.setattr(dataio, "PosteriorMatrix", refuse)
+        p = tmp_path / "m.post"
+        p.write_text("1 2\n0.5 0.5\n")
+        with pytest.raises(DataFormatError, match="no single line"):
+            load_posteriors(p)
 
     @settings(max_examples=100, deadline=None)
     @given(npst.arrays(
@@ -165,6 +184,12 @@ class TestHmmFormat:
         with pytest.raises(DataFormatError, match="missing fields"):
             load_hmm(p)
 
+    def test_non_object_rejected(self, tmp_path):
+        p = tmp_path / "h.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: HMM document must be"):
+            load_hmm(p)
+
     @pytest.mark.parametrize("field, value", [
         ("num_states", True),
         ("labels", 5),
@@ -174,6 +199,7 @@ class TestHmmFormat:
         ("initial", ["0.5", "0.5"]),
         ("transitions", [[0.5, 0.5], [1.0]]),
         ("labels", [1, ["x"]]),
+        ("initial", [0.5, 0.25, 0.25]),
     ])
     def test_mistyped_field_names_file(self, tmp_path, field, value):
         doc = {"num_states": 2, "initial": [0.5, 0.5],
@@ -215,6 +241,18 @@ class TestPriors:
         p.write_text("0.9 0.0\n")
         with pytest.raises(DataFormatError):
             load_priors(p)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty priors file"),
+        ("0.5 x 0.5\n", None, "non-numeric token 'x'"),
+    ], ids=["empty", "non-numeric"])
+    def test_malformed_names_file(self, tmp_path, text, line, message):
+        p = tmp_path / "pri.txt"
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            load_priors(p)
+        assert (err.value.path, err.value.line) == (str(p), line)
+        assert str(err.value).endswith(f": {message}")
 
     @pytest.mark.parametrize("text", ["nan nan\n", "0.5 inf\n", "-inf 1\n"])
     def test_nonfinite_rejected_naming_file(self, tmp_path, text):
@@ -290,6 +328,7 @@ class TestNoiseSpec:
         (5.0, 0.3, 4.7, "seed"),
         (5.0, 0.3, True, "seed"),
         (5.0, 0.3, np.int64(1), "seed"),
+        (5.0, 0.3, 2**64, "seed"),
     ])
     def test_values_are_not_coerced(self, concentration, confusion_rate, seed, field):
         with pytest.raises(ValidationError, match=f"field 'noise.{field}'"):
@@ -316,6 +355,26 @@ class TestManifest:
         again = load_manifest(tmp_path / MANIFEST_NAME)
         assert again.utterances[0].utterance_id == "u0"
         assert again.noise == NoiseSpec(2.0, 0.1, 42)
+
+    def test_non_object_rejected(self, tmp_path):
+        p = tmp_path / MANIFEST_NAME
+        p.write_text("[]")
+        with pytest.raises(DataFormatError, match="manifest must be an object"):
+            load_manifest(p)
+
+    def test_paths_in_a_subdirectory_and_outside(self, tmp_path, rng):
+        # A file below the manifest's directory is stored relative to it,
+        # one outside it by its full path; both load back to the same path.
+        (tmp_path / "m" / "sub").mkdir(parents=True)
+        post, ref = tmp_path / "m" / "sub" / "u0.post", tmp_path / "u0.ref"
+        save_posteriors(make_random_posteriors(rng, 2, 2), post)
+        save_transcript(("a",), ref)
+        p = tmp_path / "m" / MANIFEST_NAME
+        save_manifest(CorpusManifest((CorpusUtterance("u0", post, ref),)), p)
+        entry = json.loads(p.read_text())["utterances"][0]
+        assert (entry["posteriors"], entry["reference"]) == ("sub/u0.post", ref.as_posix())
+        utt = load_manifest(p).utterances[0]
+        assert (utt.posteriors_path, utt.reference_path) == (post, ref)
 
     def test_missing_file_rejected(self, tmp_path):
         doc = {"utterances": [{"id": "u0", "posteriors": "nope.post", "reference": "nope.ref"}]}
@@ -409,6 +468,25 @@ class TestGenerateCorpus:
             generate_corpus(hmm, 1, (0, 4), noise, tmp_path / "e")
         with pytest.raises(ValidationError):
             generate_corpus(hmm, 0, (1, 4), noise, tmp_path / "e")
+
+    @pytest.mark.parametrize("num_utterances, frames_range, field", [
+        (2, (2.7, 3.2), "frames_range"),
+        (2, (3, True), "frames_range"),
+        (2.0, (3, 4), "num_utterances"),
+        (True, (3, 4), "num_utterances"),
+    ], ids=["fractional-frames", "bool-frames", "float-count", "bool-count"])
+    def test_sizes_are_not_coerced(self, tmp_path, rng, num_utterances, frames_range, field):
+        noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)
+        with pytest.raises(ValidationError, match=f"field '{field}' must be an integer"):
+            generate_corpus(make_random_hmm(rng, 2), num_utterances, frames_range, noise,
+                            tmp_path / "e")
+        assert not (tmp_path / "e").exists()
+
+    def test_needs_two_classes(self, tmp_path, rng):
+        noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)
+        with pytest.raises(ValidationError, match="at least 2 classes"):
+            generate_corpus(make_random_hmm(rng, 2, classes=1), 1, (2, 3), noise, tmp_path / "e")
+        assert not (tmp_path / "e").exists()
 
 
 class TestFormatFloat:

@@ -45,11 +45,25 @@ class TestHmmModel:
         with pytest.raises(ValidationError, match=f"{name} has a NaN or \\+inf entry"):
             HmmModel.from_probs(initial, transitions, ["a", "b"], [0, 1])
 
+    @pytest.mark.parametrize("initial, transitions, labels, state_to_class, message", [
+        ([[1.0]], [[1.0]], ["a"], [0], "log_initial must be a vector"),
+        ([], np.empty((0, 0)), [], [], "at least one state"),
+        ([1.0], [[0.5, 0.5]], ["a"], [0], r"log_transitions must be 1x1, got \(1, 2\)"),
+        ([1.0], [[1.0]], ["a", "b"], [0], "one entry per state"),
+        ([1.0], [[1.0]], ["a"], [-1], "nonnegative column indices"),
+        ([1.5, -0.5], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "must be nonnegative"),
+    ], ids=["matrix-initial", "no-states", "transitions-shape", "label-count",
+            "negative-class", "negative-probability"])
+    def test_rejects_malformed_model(self, initial, transitions, labels, state_to_class,
+                                     message):
+        with pytest.raises(ValidationError, match=message):
+            HmmModel.from_probs(initial, transitions, labels, state_to_class)
+
     def test_rejects_fractional_state_to_class(self):
         with pytest.raises(ValidationError, match="state_to_class entries must be integers"):
             HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a", "b"], [0.0, 1.7])
 
-    @pytest.mark.parametrize("labels", [[["x"]], [1]], ids=["list", "int"])
+    @pytest.mark.parametrize("labels", [[["x"]], [1], "a"], ids=["list", "int", "str"])
     def test_rejects_non_string_labels(self, labels):
         with pytest.raises(ValidationError, match="labels must be strings"):
             HmmModel.from_probs([1.0], [[1.0]], labels, [0])
