@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from minkdecode import cli  # noqa: E402
+from minkdecode import cli, dataio  # noqa: E402
 
 DEMO_HMM = {
     "num_states": 3,
@@ -48,7 +48,7 @@ def main() -> int:
 
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    (workdir / "hmm.json").write_text(json.dumps(DEMO_HMM, indent=2) + "\n")
+    dataio.write_text(workdir / "hmm.json", json.dumps(DEMO_HMM, indent=2) + "\n")
 
     lo, _, hi = args.frames.partition(":")
     config = {
@@ -68,7 +68,7 @@ def main() -> int:
         "report": "report.json",
     }
     config_path = workdir / "experiment.json"
-    config_path.write_text(json.dumps(config, indent=2) + "\n")
+    dataio.write_text(config_path, json.dumps(config, indent=2) + "\n")
 
     code = cli.main(["experiment", str(config_path)])
     if code == 0:

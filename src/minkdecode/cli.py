@@ -14,8 +14,10 @@ This module only parses arguments and maps errors to exit codes; the work
 is done in `pipeline`. The argument parser is built once per process, on
 the first `main` call, and reused by every later in-process call. All
 numeric file output uses 17-significant-digit decimals, so identical inputs
-produce byte-identical outputs. Decode timings go to stderr only: report
-files must not vary between reruns.
+produce byte-identical outputs. Every file is written by
+`dataio.write_text`, which leaves a file that already holds those bytes
+untouched. Decode timings go to stderr only: report files must not vary
+between reruns.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ def cmd_transform(args) -> int:
 def cmd_curves(args) -> int:
     orders = tuple(args.order) if args.order else pipeline.DEFAULT_ORDERS
     mus, columns = pipeline.curve_table(orders, args.grid_points)
-    Path(args.out).write_text(pipeline.curves_text(mus, orders, columns), encoding="utf-8")
+    dataio.write_text(args.out, pipeline.curves_text(mus, orders, columns))
     if args.svg:
-        Path(args.svg).write_text(pipeline.curves_svg(mus, orders, columns), encoding="utf-8")
+        dataio.write_text(args.svg, pipeline.curves_svg(mus, orders, columns))
     return EXIT_OK
 
 
@@ -93,7 +95,7 @@ def cmd_experiment(args) -> int:
         print(f"order {r.order}: decoded in {r.decode_seconds:.3f}s", file=sys.stderr)
     doc = pipeline.report_document(report)
     if config.get("report"):
-        (config_path.parent / config["report"]).write_text(doc, encoding="utf-8")
+        dataio.write_text(config_path.parent / config["report"], doc)
     if args.format == "machine":
         sys.stdout.write(doc)
     else:

@@ -15,6 +15,14 @@ save -> load round-trips are exact):
   reference files (all strings), plus the generator seed and noise
   parameters.
 
+`write_text` is the one writer for every file the program writes. A
+regular file that already holds exactly the bytes to be written is left
+untouched: a rerun with the same inputs keeps the file's inode and mtime,
+and an identical read-only file is not an error. Any other target (missing,
+another size or other bytes, a FIFO, device or directory) gets a plain
+truncating write, so a crash mid-write is no different from before; a
+non-regular file is never read.
+
 `load_json` reads every JSON document; `json_field` is the one type check
 for the fields of a config, a manifest and a noise spec.
 
@@ -41,6 +49,8 @@ import itertools
 import json
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path, PurePath
 from typing import NoReturn
@@ -58,6 +68,7 @@ __all__ = [
     "SplitMix64",
     "splitmix64_doubles",
     "format_float",
+    "write_text",
     "json_field",
     "load_json",
     "load_posteriors",
@@ -73,6 +84,26 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8, unless path is a regular file holding those bytes.
+
+    Newlines are written as given. Truncating and rewriting an existing file
+    costs far more than reading it back, so a regular file of the same size
+    is compared first and left alone when its bytes are equal.
+    """
+    data = text.encode("utf-8")
+    try:
+        st = os.stat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_size == len(data):
+            with open(path, "rb") as f:
+                if f.read() == data:
+                    return
+    except OSError:
+        pass  # missing or unreadable: the write below succeeds or says why
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 _FLOAT_FORMAT = "%.17g"
@@ -173,7 +204,7 @@ def save_posteriors(matrix: PosteriorMatrix, path) -> None:
     row = " ".join([_FLOAT_FORMAT] * matrix.classes)
     template = "\n".join([f"{matrix.frames} {matrix.classes}"] + [row] * matrix.frames)
     text = template % tuple(matrix.values.ravel().tolist())
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +283,6 @@ def _numbers(path: Path, doc: dict, name: str) -> np.ndarray:
 
 
 def save_hmm(hmm: HmmModel, path) -> None:
-    path = Path(path)
     doc = {
         "num_states": hmm.num_states,
         "initial": [float(p) for p in np.exp(hmm.log_initial)],
@@ -260,7 +290,7 @@ def save_hmm(hmm: HmmModel, path) -> None:
         "labels": list(hmm.state_labels),
         "state_to_class": [int(c) for c in hmm.state_to_class],
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +304,7 @@ def load_transcript(path) -> tuple[str, ...]:
 
 
 def save_transcript(tokens, path) -> None:
-    Path(path).write_text("".join(f"{tok}\n" for tok in tokens), encoding="utf-8")
+    write_text(path, "".join(f"{tok}\n" for tok in tokens))
 
 
 def load_priors(path) -> np.ndarray:
@@ -373,7 +403,7 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
         }
         for u in manifest.utterances
     ]
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _relative_to(p, base: Path) -> str:

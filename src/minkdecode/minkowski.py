@@ -298,10 +298,17 @@ def newton_transform(mu, order) -> float:
     )
 
 
+@lru_cache(maxsize=1)
+def _grid() -> np.ndarray:
+    """The brute-force grid on [0, 1], built once and shared by every order."""
+    return np.linspace(0.0, 1.0, GRID_STEPS + 1)
+
+
 @lru_cache(maxsize=8)
 def _loss_tables(order: int):
-    ys = np.linspace(0.0, 1.0, GRID_STEPS + 1)
-    return ys, ys**order, (1.0 - ys) ** order
+    """ys**order and (1 - ys)**order on the shared grid ys."""
+    ys = _grid()
+    return ys**order, (1.0 - ys) ** order
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -337,7 +344,8 @@ def brute_force_transform(mu, order) -> float:
     """
     mu = _posterior_value(mu)
     n = LossOrder(order).value
-    ys, pow_y, pow_comp = _loss_tables(n)
+    ys = _grid()
+    pow_y, pow_comp = _loss_tables(n)
     losses = (1.0 - mu) * pow_y + mu * pow_comp
     i = int(np.argmin(losses))
     return _golden_refine(mu, n, ys[max(i - 1, 0)], ys[min(i + 1, GRID_STEPS)])

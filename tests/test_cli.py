@@ -458,6 +458,39 @@ class TestExperimentCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [entry["order"] for entry in doc["orders"]] == [2, 4]
 
+    def test_rerun_leaves_identical_outputs_untouched(self, tmp_path, demo_hmm):
+        old_ns = 1_000_000_000  # an mtime no write made during the test can have
+        cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
+        assert cli.main(["experiment", str(cfg)]) == 0
+        outputs = sorted((tmp_path / "corpus").iterdir()) + [tmp_path / "report.json"]
+        for path in outputs:
+            os.utime(path, ns=(old_ns, old_ns))
+        before = {path: (os.stat(path).st_ino, os.stat(path).st_mtime_ns) for path in outputs}
+        report = (tmp_path / "report.json").read_bytes()
+
+        assert cli.main(["experiment", str(cfg)]) == 0
+        assert sorted((tmp_path / "corpus").iterdir()) + [tmp_path / "report.json"] == outputs
+        assert {path: (os.stat(path).st_ino, os.stat(path).st_mtime_ns)
+                for path in outputs} == before
+        assert (tmp_path / "report.json").read_bytes() == report
+
+        # Another seed rewrites the corpus and report to what a fresh run writes.
+        doc = json.loads(cfg.read_text())
+        doc["corpus"]["noise"]["seed"] = 4
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["experiment", str(cfg)]) == 0
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        (fresh / demo_hmm.name).write_bytes(demo_hmm.read_bytes())
+        assert cli.main(["experiment", str(experiment_config(fresh, demo_hmm, 5.0, 0.3, 4))]) == 0
+
+        def written(root):
+            paths = sorted((root / "corpus").iterdir()) + [root / "report.json"]
+            return {path.relative_to(root): path.read_bytes() for path in paths}
+
+        assert written(tmp_path) == written(fresh)
+        assert (tmp_path / "report.json").read_bytes() != report
+
 
 @pytest.mark.parametrize("kind", ["hmm", "manifest", "config"])
 def test_invalid_json_names_file_and_line(tmp_path, demo_hmm, capsys, kind):

@@ -1,6 +1,8 @@
+import builtins
 import itertools
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from minkdecode import DataFormatError, PosteriorMatrix, ValidationError, dataio
+from minkdecode import DataFormatError, PosteriorMatrix, ValidationError, cli, dataio
 from minkdecode.dataio import (
     MANIFEST_NAME,
     CorpusManifest,
@@ -28,6 +30,7 @@ from minkdecode.dataio import (
     save_posteriors,
     save_transcript,
     splitmix64_doubles,
+    write_text,
 )
 
 from conftest import make_random_hmm, make_random_posteriors
@@ -495,3 +498,74 @@ class TestFormatFloat:
             x = float(rng.uniform(-1e6, 1e6))
             assert float(format_float(x)) == x
         assert float(format_float(0.1)) == 0.1
+
+
+OLD_NS = 1_000_000_000  # an mtime no write made during a test can have
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """(path, mode) of every call of the builtin open made during the test."""
+    calls = []
+    real_open = builtins.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        calls.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    return calls
+
+
+def backdated(path, data: bytes):
+    """path holding data, with its mtime set to OLD_NS; returns the path."""
+    path.write_bytes(data)
+    os.utime(path, ns=(OLD_NS, OLD_NS))
+    return path
+
+
+class TestWriteText:
+    def test_identical_bytes_are_left_untouched(self, tmp_path, opens):
+        text = "h\u00e9llo\n"  # 6 characters, 7 bytes
+        p = backdated(tmp_path / "f.txt", text.encode("utf-8"))
+        before = os.stat(p)
+        write_text(p, text)
+        after = os.stat(p)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, OLD_NS)
+        assert opens == [(str(p), "rb")]
+
+    def test_same_length_other_bytes_are_rewritten(self, tmp_path):
+        p = backdated(tmp_path / "f.txt", b"abc\n")
+        write_text(p, "abd\n")
+        assert p.read_bytes() == b"abd\n"
+        assert os.stat(p).st_mtime_ns != OLD_NS
+
+    def test_other_size_is_rewritten_without_a_read(self, tmp_path, opens):
+        p = backdated(tmp_path / "f.txt", b"a longer old text\n")
+        write_text(p, "new\n")
+        assert p.read_bytes() == b"new\n"
+        assert opens == [(str(p), "wb")]
+
+    def test_missing_file_is_created(self, tmp_path):
+        p = tmp_path / "f.txt"
+        write_text(p, "x\n")
+        assert p.read_bytes() == b"x\n"
+
+    def test_device_is_written_without_a_read(self, opens):
+        # /dev/null reports size 0, the size of "", but is not a regular file.
+        write_text("/dev/null", "")
+        assert opens == [("/dev/null", "wb")]
+
+    def test_directory_is_an_io_error(self, tmp_path, capsys):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_text(target, "")
+        assert cli.main(["curves", "--grid-points", "3", "--out", str(target)]) == cli.EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_identical_read_only_file_is_not_an_error(self, tmp_path):
+        p = backdated(tmp_path / "f.txt", b"same\n")
+        p.chmod(0o444)
+        write_text(p, "same\n")
+        assert os.stat(p).st_mtime_ns == OLD_NS
