@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from minkdecode import cli, dataio  # noqa: E402
+from minkdecode import cli, dataio, pipeline  # noqa: E402
 
 DEMO_HMM = {
     "num_states": 3,
@@ -40,7 +40,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default="demo_experiment")
     parser.add_argument("--utterances", type=int, default=40)
-    parser.add_argument("--frames", default="10:25")
+    parser.add_argument("--frames", type=pipeline.parse_frames, default="10:25",
+                        help="frames per utterance, 'N' or 'LO:HI'")
     parser.add_argument("--concentration", type=float, default=100.0)
     parser.add_argument("--confusion-rate", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=1)
@@ -50,7 +51,6 @@ def main() -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     dataio.write_text(workdir / "hmm.json", json.dumps(DEMO_HMM, indent=2) + "\n")
 
-    lo, _, hi = args.frames.partition(":")
     config = {
         "hmm": "hmm.json",
         "orders": [2, 4, 6],
@@ -58,7 +58,7 @@ def main() -> int:
         "corpus": {
             "dir": "corpus",
             "utterances": args.utterances,
-            "frames": [int(lo), int(hi or lo)],
+            "frames": list(args.frames),
             "noise": {
                 "concentration": args.concentration,
                 "confusion_rate": args.confusion_rate,

@@ -25,7 +25,6 @@ from .posteriors import (
     LOG_FLOOR,
     LogScoreMatrix,
     PosteriorMatrix,
-    renormalize_rows,
     to_log_scores,
     transform_matrix,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "expected_loss",
     "gradient_coefficients",
     "newton_transform",
-    "renormalize_rows",
     "score_path",
     "to_log_scores",
     "transform_matrix",

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``transform``  - apply an order-n transform to a posterior file
+* ``transform``  - apply an order-n transform to a posterior file, rows renormalized
 * ``curves``     - tabulate (and optionally chart) transform curves
 * ``decode``     - transform + Viterbi-decode one posterior file
 * ``score``      - WER between a reference and a hypothesis transcript
@@ -40,7 +40,7 @@ EXIT_IO = 3
 
 def cmd_transform(args) -> int:
     matrix = dataio.load_posteriors(args.input)
-    out = transform_matrix(matrix, args.order, renormalize=args.renormalize == "on")
+    out = transform_matrix(matrix, args.order)
     dataio.save_posteriors(out, args.out)
     return EXIT_OK
 
@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="transform a posterior matrix file")
     p.add_argument("input", help="input posterior file")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--renormalize", choices=("on", "off"), default="on")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transform)
 

@@ -51,7 +51,7 @@ import math
 import numbers
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path, PurePath
 from typing import NoReturn
 
@@ -361,10 +361,11 @@ class NoiseSpec:
     def from_json(cls, doc) -> "NoiseSpec":
         """The spec stored as a JSON ``noise`` object; other keys are ignored."""
         json_field(doc, dict, "noise")
-        for name in ("concentration", "confusion_rate", "seed"):
+        names = [f.name for f in fields(cls)]
+        for name in names:
             if name not in doc:
                 raise ValidationError(f"field 'noise.{name}' is missing")
-        return cls(doc["concentration"], doc["confusion_rate"], doc["seed"])
+        return cls(*(doc[name] for name in names))
 
 
 @dataclass(frozen=True)
@@ -390,11 +391,7 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
     base = path.parent
     doc: dict = {}
     if manifest.noise is not None:
-        doc["noise"] = {
-            "concentration": manifest.noise.concentration,
-            "confusion_rate": manifest.noise.confusion_rate,
-            "seed": manifest.noise.seed,
-        }
+        doc["noise"] = asdict(manifest.noise)
     doc["utterances"] = [
         {
             "id": u.utterance_id,

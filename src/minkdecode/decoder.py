@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .posteriors import LOG_FLOOR, LogScoreMatrix, check_row_sums
+from .posteriors import LogScoreMatrix, check_row_sums, floored_log
 
 __all__ = [
     "HmmModel",
@@ -46,8 +46,9 @@ class HmmModel:
     is the posterior-matrix column that scores it. Labels must be a
     sequence of strings (one string is refused, not split into characters);
     nothing is converted to one. exp(log_initial) and each exp(transition
-    row) must sum to 1 within 1e-6 (`check_row_sums`). Zero probabilities
-    are floored at LOG_FLOOR rather than -inf.
+    row) must sum to 1 within 1e-6 (`check_row_sums`). A zero probability
+    has one encoding, LOG_FLOOR: every entry must be finite, so -inf is
+    refused like NaN and +inf.
     """
 
     log_initial: np.ndarray
@@ -78,10 +79,14 @@ class HmmModel:
             raise ValidationError("state_labels and state_to_class must have one entry per state")
         if (s2c < 0).any():
             raise ValidationError("state_to_class entries must be nonnegative column indices")
-        # A max-plus step has no defined result for NaN, and +inf - inf is NaN.
+        # A max-plus step has no defined result for NaN, and +inf - inf is NaN;
+        # -inf would be a second encoding of the zero that LOG_FLOOR stands for.
         for name, arr in (("log_initial", init), ("log_transitions", trans)):
-            if np.isnan(arr).any() or (arr == np.inf).any():
-                raise ValidationError(f"{name} has a NaN or +inf entry")
+            if not np.isfinite(arr).all():
+                raise ValidationError(
+                    f"{name} has a NaN or +inf entry, or a -inf one "
+                    "(a zero probability is LOG_FLOOR)"
+                )
         if check_row_sums(np.exp(init)[None, :]) is not None:
             raise ValidationError(
                 f"exp(log_initial) sums to {np.exp(init).sum()!r}, expected 1"
@@ -104,15 +109,12 @@ class HmmModel:
 
     @classmethod
     def from_probs(cls, initial, transitions, labels, state_to_class) -> "HmmModel":
-        """Build from linear probabilities, flooring log(0) at LOG_FLOOR."""
+        """Build from linear probabilities; `floored_log` maps each zero to LOG_FLOOR."""
         init = np.asarray(initial, dtype=np.float64)
         trans = np.asarray(transitions, dtype=np.float64)
         if (init < 0).any() or (trans < 0).any():
             raise ValidationError("probabilities must be nonnegative")
-        with np.errstate(divide="ignore"):
-            log_init = np.where(init == 0.0, LOG_FLOOR, np.log(init))
-            log_trans = np.where(trans == 0.0, LOG_FLOOR, np.log(trans))
-        return cls(log_init, log_trans, labels, state_to_class)
+        return cls(floored_log(init), floored_log(trans), labels, state_to_class)
 
 
 def _class_indices(values) -> np.ndarray:

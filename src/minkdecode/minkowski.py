@@ -348,7 +348,8 @@ def brute_force_transform(mu, order) -> float:
     pow_y, pow_comp = _loss_tables(n)
     losses = (1.0 - mu) * pow_y + mu * pow_comp
     i = int(np.argmin(losses))
-    return _golden_refine(mu, n, ys[max(i - 1, 0)], ys[min(i + 1, GRID_STEPS)])
+    lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, GRID_STEPS)]
+    return _golden_refine(mu, n, float(lo), float(hi))
 
 
 def analyze_odd_order(mu, order) -> RootAnalysis:

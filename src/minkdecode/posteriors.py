@@ -3,14 +3,16 @@
 A posterior matrix holds one row per frame and one column per class, each
 entry a probability. The order-n transform is applied entrywise (each class
 posterior is treated as an independent binary target), optionally followed
-by row renormalization. Because the scalar transform is strictly
-increasing, neither step can change a row's argmax or its full sort order;
-renormalization only shifts that frame's log-scores by a constant, which
-the Viterbi path is invariant to.
+by row renormalization in `transform_matrix`, the one place rows are
+rescaled. Because the scalar transform is strictly increasing, neither step
+can change a row's argmax or its full sort order; renormalization only
+shifts that frame's log-scores by a constant, which the Viterbi path is
+invariant to.
 
 Both matrix types check their shape and entries in one shared base (one
 pass over the entries: in [0, 1] for posteriors, finite for log scores);
-`check_row_sums` is the one row-sum check, also used by `HmmModel`.
+`check_row_sums` is the one row-sum check and `floored_log` the one log
+with exact zeros at LOG_FLOOR, both also used by `HmmModel`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "LogScoreMatrix",
     "transform_matrix",
     "to_log_scores",
-    "renormalize_rows",
 ]
 
 # Stand-in for ln(0): keeps DP arithmetic finite and total-order comparable.
@@ -79,9 +80,9 @@ class PosteriorMatrix(_Matrix):
     """frames x classes matrix of per-frame class posteriors.
 
     Entries are validated to lie in [0, 1]. Rows sum to 1 when the matrix
-    comes from `dataio.load_posteriors` or `renormalize_rows`; a transform
-    with renormalization off may break the row sums without invalidating
-    the entries.
+    comes from `dataio.load_posteriors` or a renormalizing
+    `transform_matrix`; a transform with renormalization off may break the
+    row sums without invalidating the entries.
     """
 
     _KIND = "posterior matrix"
@@ -108,10 +109,17 @@ def transform_matrix(p: PosteriorMatrix, order, renormalize: bool = True) -> Pos
 
     Order 2 returns an identical matrix. With `renormalize` each row is
     rescaled to sum to 1 afterwards; this divides the row by a positive
-    constant and cannot change the decoded path, only score magnitudes.
+    constant and cannot change the decoded path, only score magnitudes. A
+    row that sums to zero cannot be rescaled and is refused.
     """
     out = transform_values(p.values, order)
-    return PosteriorMatrix(_divide_rows(out) if renormalize else out)
+    if renormalize:
+        sums = out.sum(axis=1)
+        zero_rows = np.flatnonzero(sums <= 0.0)
+        if zero_rows.size:
+            raise ValidationError(f"row {zero_rows[0]} sums to zero; cannot renormalize")
+        out = out / sums[:, None]
+    return PosteriorMatrix(out)
 
 
 def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
@@ -120,10 +128,7 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
     Exact zeros map to LOG_FLOOR. Priors must be strictly positive and one
     per class.
     """
-    vals = p.values
-    with np.errstate(divide="ignore"):
-        logs = np.log(vals)
-    logs = np.where(vals == 0.0, LOG_FLOOR, logs)
+    logs = floored_log(p.values)
     if priors is not None:
         pr = np.asarray(priors, dtype=np.float64)
         if pr.shape != (p.classes,):
@@ -137,25 +142,15 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
     return LogScoreMatrix(logs)
 
 
-def renormalize_rows(raw) -> PosteriorMatrix:
-    """Rescale a nonnegative matrix so every row sums to 1 (within 1e-12)."""
-    arr = _Matrix(raw).values
-    if (arr < 0.0).any():
-        raise ValidationError("matrix entries must be nonnegative")
-    return PosteriorMatrix(_divide_rows(arr))
-
-
-def _divide_rows(arr: np.ndarray) -> np.ndarray:
-    """arr with each row divided by its sum; a row summing to zero or less is refused."""
-    sums = arr.sum(axis=1)
-    zero_rows = np.flatnonzero(sums <= 0.0)
-    if zero_rows.size:
-        raise ValidationError(f"row {zero_rows[0]} sums to zero; cannot renormalize")
-    return arr / sums[:, None]
-
-
 def check_row_sums(values: np.ndarray) -> int | None:
     """Index of the first row whose sum is off 1 by more than ROW_SUM_TOLERANCE, else None."""
     sums = np.asarray(values, dtype=np.float64).sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)
     return int(bad[0]) if bad.size else None
+
+
+def floored_log(values) -> np.ndarray:
+    """Natural log of nonnegative values, with exact zeros at LOG_FLOOR instead of -inf."""
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.where(v == 0.0, LOG_FLOOR, np.log(v))

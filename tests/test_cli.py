@@ -65,6 +65,27 @@ class TestTransformCommand:
         assert out.values[0, 0] == pytest.approx(1 - T4_01, abs=1e-6)
         assert out.values[0, 1] == pytest.approx(T4_01, abs=1e-6)
 
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    def test_output_loads_back(self, tmp_path, order):
+        src = tmp_path / "in.post"
+        dst = tmp_path / "out.post"
+        write_posteriors(src, [[0.8, 0.1, 0.1], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        assert cli.main(["transform", str(src), "--order", str(order), "--out", str(dst)]) == 0
+        out = load_posteriors(dst)
+        assert np.allclose(out.values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        again = tmp_path / "again.post"
+        assert cli.main(["transform", str(dst), "--order", str(order), "--out", str(again)]) == 0
+
+    def test_renormalize_option_is_gone(self, tmp_path, capsys):
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.8, 0.1, 0.1]])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transform", str(src), "--order", "4", "--renormalize", "off",
+                      "--out", str(tmp_path / "o")])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "unrecognized arguments: --renormalize off" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_odd_order_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.post"
         write_posteriors(src, [[0.5, 0.5]])

@@ -45,6 +45,15 @@ class TestHmmModel:
         with pytest.raises(ValidationError, match=f"{name} has a NaN or \\+inf entry"):
             HmmModel.from_probs(initial, transitions, ["a", "b"], [0, 1])
 
+    @pytest.mark.parametrize("log_initial, log_transitions, name", [
+        ([0.0, -np.inf], np.full((2, 2), np.log(0.5)), "log_initial"),
+        ([np.log(0.5)] * 2, [[0.0, -np.inf], [np.log(0.5)] * 2], "log_transitions"),
+    ], ids=["initial", "transition"])
+    def test_rejects_minus_inf_log_score(self, log_initial, log_transitions, name):
+        # LOG_FLOOR is the one encoding of a zero probability.
+        with pytest.raises(ValidationError, match=f"{name} has a NaN or \\+inf entry.*LOG_FLOOR"):
+            HmmModel(log_initial, log_transitions, ["a", "b"], [0, 1])
+
     @pytest.mark.parametrize("initial, transitions, labels, state_to_class, message", [
         ([[1.0]], [[1.0]], ["a"], [0], "log_initial must be a vector"),
         ([], np.empty((0, 0)), [], [], "at least one state"),

@@ -194,6 +194,9 @@ class TestBruteForceTransform:
     def test_boundary(self):
         assert brute_force_transform(1.0, 6) == pytest.approx(1.0, abs=1e-6)
 
+    def test_returns_python_float(self):
+        assert type(brute_force_transform(0.3, 4)) is float
+
 
 class TestTransformProperties:
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), st.sampled_from([4, 6, 8]))

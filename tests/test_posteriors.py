@@ -12,7 +12,6 @@ from minkdecode import (
     PosteriorMatrix,
     ValidationError,
     closed_form_transform,
-    renormalize_rows,
     to_log_scores,
     transform_matrix,
 )
@@ -109,6 +108,28 @@ class TestTransformMatrix:
         out = transform_matrix(m, 2, renormalize=False)
         assert np.array_equal(out.values, m.values)
 
+    def test_zero_row_rejected(self):
+        with pytest.raises(ValidationError, match="row 0 sums to zero"):
+            transform_matrix(PosteriorMatrix([[0.0, 0.0]]), 4)
+
+    @given(
+        npst.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(2, 5)),
+            elements=st.floats(min_value=0.0, max_value=1.0),
+        ),
+        st.sampled_from([2, 4, 6]),
+    )
+    @settings(max_examples=200)
+    def test_rows_sum_to_one(self, raw, order):
+        m = PosteriorMatrix(raw)
+        if (raw.sum(axis=1) <= 0).any():
+            with pytest.raises(ValidationError):
+                transform_matrix(m, order, renormalize=True)
+            return
+        out = transform_matrix(m, order, renormalize=True)
+        assert np.all(np.abs(out.values.sum(axis=1) - 1.0) <= 1e-12)
+
     def test_rejects_odd_order(self, rng):
         with pytest.raises(ValidationError, match="probability"):
             transform_matrix(make_random_posteriors(rng, 2, 2), 5)
@@ -150,33 +171,3 @@ class TestToLogScores:
     def test_prior_positivity(self):
         with pytest.raises(ValidationError):
             to_log_scores(PosteriorMatrix([[0.5, 0.5]]), priors=[0.0, 1.0])
-
-
-class TestRenormalizeRows:
-    def test_simple_rows(self):
-        out = renormalize_rows([[2.0, 2.0], [1.0, 3.0]])
-        assert np.array_equal(out.values, [[0.5, 0.5], [0.25, 0.75]])
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValidationError, match="row 0"):
-            renormalize_rows([[0.0, 0.0]])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            renormalize_rows([[-1.0, 2.0]])
-
-    @given(
-        npst.arrays(
-            np.float64,
-            st.tuples(st.integers(1, 6), st.integers(2, 5)),
-            elements=st.floats(min_value=0.0, max_value=100.0),
-        )
-    )
-    @settings(max_examples=200)
-    def test_rows_sum_to_one(self, raw):
-        if (raw.sum(axis=1) <= 0).any():
-            with pytest.raises(ValidationError):
-                renormalize_rows(raw)
-            return
-        out = renormalize_rows(raw)
-        assert np.all(np.abs(out.values.sum(axis=1) - 1.0) <= 1e-12)

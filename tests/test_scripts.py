@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -19,6 +21,16 @@ def test_run_experiment_writes_report(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((workdir / "report.json").read_text())
     assert [entry["order"] for entry in doc["orders"]] == [2, 4, 6]
+
+
+@pytest.mark.parametrize("frames", ["abc", "12:"])
+def test_run_experiment_refuses_malformed_frames(tmp_path, frames):
+    workdir = tmp_path / "exp"
+    proc = run_script("run_experiment.py", "--workdir", str(workdir), "--frames", frames)
+    assert proc.returncode == 2
+    assert "argument --frames" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not workdir.exists()
 
 
 def test_make_figures_writes_svgs(tmp_path):
