@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from minkdecode import cli, dataio, pipeline  # noqa: E402
+from minkdecode import ValidationError, cli, dataio, pipeline  # noqa: E402
 
 DEMO_HMM = {
     "num_states": 3,
@@ -36,11 +36,19 @@ DEMO_HMM = {
 }
 
 
+def frames_arg(text: str) -> tuple[int, int]:
+    """`pipeline.parse_frames` as an argparse type, keeping its reason on a refusal."""
+    try:
+        return pipeline.parse_frames(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default="demo_experiment")
     parser.add_argument("--utterances", type=int, default=40)
-    parser.add_argument("--frames", type=pipeline.parse_frames, default="10:25",
+    parser.add_argument("--frames", type=frames_arg, default="10:25",
                         help="frames per utterance, 'N' or 'LO:HI'")
     parser.add_argument("--concentration", type=float, default=100.0)
     parser.add_argument("--confusion-rate", type=float, default=0.3)

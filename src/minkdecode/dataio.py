@@ -186,7 +186,7 @@ def _raise_first_bad_line(path: Path, lines: list[str], classes: int) -> NoRetur
         if check_row_sums(row[None, :]) is not None:
             raise DataFormatError(
                 path, lineno,
-                f"row sums to {row.sum()!r}, expected 1 within {ROW_SUM_TOLERANCE}",
+                f"row sums to {float(row.sum())!r}, expected 1 within {ROW_SUM_TOLERANCE}",
             )
     raise DataFormatError(path, None, "rows fail the bulk checks, but no single line does")
 
@@ -200,7 +200,17 @@ def _is_float(tok: str) -> bool:
 
 
 def save_posteriors(matrix: PosteriorMatrix, path) -> None:
-    """Write the matrix in the posterior format, all values in one format call."""
+    """Write the matrix in the posterior format, all values in one format call.
+
+    A row whose sum `load_posteriors` would refuse is refused here, before
+    anything is written.
+    """
+    bad = check_row_sums(matrix.values)
+    if bad is not None:
+        raise ValidationError(
+            f"row {bad} sums to {float(matrix.values[bad].sum())!r}, "
+            f"expected 1 within {ROW_SUM_TOLERANCE}"
+        )
     row = " ".join([_FLOAT_FORMAT] * matrix.classes)
     template = "\n".join([f"{matrix.frames} {matrix.classes}"] + [row] * matrix.frames)
     text = template % tuple(matrix.values.ravel().tolist())

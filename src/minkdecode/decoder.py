@@ -89,12 +89,12 @@ class HmmModel:
                 )
         if check_row_sums(np.exp(init)[None, :]) is not None:
             raise ValidationError(
-                f"exp(log_initial) sums to {np.exp(init).sum()!r}, expected 1"
+                f"exp(log_initial) sums to {float(np.exp(init).sum())!r}, expected 1"
             )
         row = check_row_sums(np.exp(trans))
         if row is not None:
             raise ValidationError(
-                f"transition row {row} sums to {np.exp(trans[row]).sum()!r}, expected 1"
+                f"transition row {row} sums to {float(np.exp(trans[row]).sum())!r}, expected 1"
             )
         for arr in (init, trans, s2c):
             arr.setflags(write=False)

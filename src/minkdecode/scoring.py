@@ -4,6 +4,11 @@ WER = (substitutions + deletions + insertions) / reference length, with the
 counts decomposed from one minimum-edit-distance alignment. Corpus WER
 pools the counts over utterance pairs (it is not the mean of per-utterance
 rates).
+
+The distances come from Myers' bit-vector edit distance (Myers, JACM 1999)
+in Hyyrö's global form: each column of the (R+1) x (H+1) distance matrix is
+kept as two R-bit integers holding its +1 and -1 vertical steps, so a
+hypothesis token costs a few big-integer operations instead of R cells.
 """
 
 from __future__ import annotations
@@ -43,6 +48,13 @@ class WerReport:
 def align_and_score(reference: Sequence[str], hypothesis: Sequence[str]) -> WerReport:
     """Align hypothesis to reference with unit costs and count S/D/I.
 
+    For reference length R and hypothesis length H, the forward pass costs
+    O(H * ceil(R / 30)) integer digit operations and keeps 2 (H + 1) R-bit
+    integers. Column j stores `vp[j]` and `vn[j]`, whose bit i - 1 is set
+    where D(i, j) - D(i - 1, j) is +1 or -1, so D(i, j) is j plus the +1
+    steps minus the -1 steps among the lowest i bits. The backtrace reads
+    O(R + H) cells that way.
+
     When several moves cost the same, the backtrace prefers substitution
     over insertion over deletion, fixing one reproducible decomposition.
     """
@@ -51,34 +63,49 @@ def align_and_score(reference: Sequence[str], hypothesis: Sequence[str]) -> WerR
     if not ref:
         raise ValidationError("reference must be non-empty")
     R, H = len(ref), len(hyp)
-    dist = [[0] * (H + 1) for _ in range(R + 1)]
-    for i in range(1, R + 1):
-        dist[i][0] = i
-    for j in range(1, H + 1):
-        dist[0][j] = j
-    for i in range(1, R + 1):
-        ri = ref[i - 1]
-        row = dist[i]
-        prev = dist[i - 1]
-        for j in range(1, H + 1):
-            sub = prev[j - 1] + (ri != hyp[j - 1])
-            ins = row[j - 1] + 1
-            dele = prev[j] + 1
-            row[j] = min(sub, ins, dele)
+    full = (1 << R) - 1
+    peq: dict[str, int] = {}
+    for i, token in enumerate(ref):
+        peq[token] = peq.get(token, 0) | (1 << i)
+    # Column 0 is D(i, 0) = i: every vertical step is +1.
+    vp, vn = full, 0
+    vps, vns = [vp], [vn]
+    for token in hyp:
+        eq = peq.get(token, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        # Row 0 is D(0, j) = j, so its horizontal step (+1) shifts in as a carry.
+        hp = ((hp << 1) | 1) & full
+        vp = ((hn << 1) | ~(xv | hp)) & full
+        vn = hp & xv
+        vps.append(vp)
+        vns.append(vn)
+
+    def dist(i: int, j: int) -> int:
+        low = (1 << i) - 1
+        return j + (vps[j] & low).bit_count() - (vns[j] & low).bit_count()
+
     subs = dels = ins = 0
     i, j = R, H
+    cur = dist(i, j)
     while i > 0 or j > 0:
-        cur = dist[i][j]
-        if i > 0 and j > 0 and cur == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            if ref[i - 1] != hyp[j - 1]:
-                subs += 1
-            i, j = i - 1, j - 1
-        elif j > 0 and cur == dist[i][j - 1] + 1:
-            ins += 1
-            j -= 1
-        else:
-            dels += 1
-            i -= 1
+        if i > 0 and j > 0:
+            diag = dist(i - 1, j - 1)
+            miss = ref[i - 1] != hyp[j - 1]
+            if cur == diag + miss:
+                subs += miss
+                i, j, cur = i - 1, j - 1, diag
+                continue
+        if j > 0:
+            left = dist(i, j - 1)
+            if cur == left + 1:
+                ins += 1
+                j, cur = j - 1, left
+                continue
+        dels += 1
+        i, cur = i - 1, cur - 1
     return WerReport(subs, dels, ins, R)
 
 

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from minkdecode import DataFormatError, PosteriorMatrix, ValidationError, cli, dataio
+from minkdecode import (
+    DataFormatError,
+    PosteriorMatrix,
+    ValidationError,
+    cli,
+    dataio,
+    transform_matrix,
+)
 from minkdecode.dataio import (
     MANIFEST_NAME,
     CorpusManifest,
@@ -58,6 +65,14 @@ class TestPosteriorFormat:
         with pytest.raises(DataFormatError, match="2: row sums"):
             load_posteriors(p)
 
+    def test_save_refuses_rows_the_loader_refuses(self, tmp_path):
+        m = transform_matrix(PosteriorMatrix([[0.8, 0.1, 0.1]]), 4, renormalize=False)
+        p = tmp_path / "lib.post"
+        with pytest.raises(ValidationError,
+                           match=r"^row 0 sums to 1\.26\d*, expected 1 within 1e-06$"):
+            save_posteriors(m, p)
+        assert not p.exists()
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "m.post"
         p.write_text("1 2 3\n")
@@ -99,7 +114,7 @@ class TestPosteriorFormat:
         ("2 2\n0.5 0.5\n\n0.5 inf\n", 4, "probabilities must be in [0, 1]"),
         ("2 2\n0.5 0.5\n\n1.25 -0.25\n", 4, "probabilities must be in [0, 1]"),
         ("2 3\n0.2 0.3 0.5\n\n0.2 0.3 0.4\n", 4,
-         "row sums to np.float64(0.9), expected 1 within 1e-06"),
+         "row sums to 0.9, expected 1 within 1e-06"),
         ("3 2\n0.5 0.5\n\n0.5 0.5\n\n", 5, "expected 3 data rows, found 2"),
         ("-1 2\n", 1, "expected -1 data rows, found 0"),
         ("1 -1\n0.5 0.5\n", 1, "malformed header '1 -1'; class count must be >= 0"),

@@ -32,6 +32,15 @@ class TestHmmModel:
         with pytest.raises(ValidationError, match="log_initial"):
             HmmModel.from_probs([0.5, 0.4], np.full((2, 2), 0.5), ["a", "b"], [0, 1])
 
+    # The sums are numpy scalars; the messages print them as plain floats.
+    @pytest.mark.parametrize("initial, transitions, message", [
+        ([0.5, 0.4], np.full((2, 2), 0.5), r"exp\(log_initial\) sums to 0\.9\d*, expected 1$"),
+        ([0.5, 0.5], [[0.5, 0.5], [0.3, 0.5]], r"transition row 1 sums to 0\.8\d*, expected 1$"),
+    ])
+    def test_sum_messages_print_plain_floats(self, initial, transitions, message):
+        with pytest.raises(ValidationError, match=message):
+            HmmModel.from_probs(initial, transitions, ["a", "b"], [0, 1])
+
     def test_zero_probability_floored(self):
         hmm = HmmModel.from_probs([1.0, 0.0], np.full((2, 2), 0.5), ["a", "b"], [0, 1])
         assert hmm.log_initial[1] == LOG_FLOOR

@@ -7,6 +7,9 @@ from minkdecode import ValidationError, WerReport, align_and_score, corpus_wer
 
 tokens = st.lists(st.sampled_from("abcdefg"), max_size=12)
 nonempty_tokens = st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12)
+# Few reference symbols, so tokens repeat; "x" and "y" never occur in a reference.
+repeating_refs = st.lists(st.sampled_from("abc"), min_size=1, max_size=80)
+hyps_with_absent = st.lists(st.sampled_from("abcxy"), max_size=90)
 
 
 def reference_levenshtein(a, b):
@@ -20,6 +23,39 @@ def reference_levenshtein(a, b):
             cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (x != y)))
         prev = cur
     return prev[-1]
+
+
+def reference_alignment(reference, hypothesis):
+    """Full-matrix Levenshtein DP and backtrace; oracle for `align_and_score`.
+
+    Ties prefer substitution, then insertion, then deletion.
+    """
+    ref, hyp = list(reference), list(hypothesis)
+    R, H = len(ref), len(hyp)
+    dist = [[0] * (H + 1) for _ in range(R + 1)]
+    for i in range(1, R + 1):
+        dist[i][0] = i
+    for j in range(1, H + 1):
+        dist[0][j] = j
+    for i in range(1, R + 1):
+        for j in range(1, H + 1):
+            dist[i][j] = min(dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]),
+                             dist[i][j - 1] + 1, dist[i - 1][j] + 1)
+    subs = dels = ins = 0
+    i, j = R, H
+    while i > 0 or j > 0:
+        cur = dist[i][j]
+        if i > 0 and j > 0 and cur == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            if ref[i - 1] != hyp[j - 1]:
+                subs += 1
+            i, j = i - 1, j - 1
+        elif j > 0 and cur == dist[i][j - 1] + 1:
+            ins += 1
+            j -= 1
+        else:
+            dels += 1
+            i -= 1
+    return WerReport(subs, dels, ins, R)
 
 
 class TestAlignAndScore:
@@ -71,6 +107,19 @@ class TestAlignAndScore:
         # alignment bookkeeping: hyp length = matches + subs + insertions
         matches = rep.ref_length - rep.substitutions - rep.deletions
         assert matches + rep.substitutions + rep.insertions == len(hyp)
+
+    @given(repeating_refs, hyps_with_absent)
+    @settings(max_examples=300)
+    def test_decomposition_matches_full_matrix(self, ref, hyp):
+        assert align_and_score(ref, hyp) == reference_alignment(ref, hyp)
+
+    # R = 63, 64 and 65 straddle a 64-bit word; 200 spans several.
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 200])
+    def test_decomposition_at_word_boundaries(self, rng, length):
+        ref = list(rng.choice(list("abcd"), size=length))
+        for hyp in ([], ["x"] * (length // 2 + 1), list(rng.choice(list("xyz"), size=length)),
+                    list(rng.choice(list("abcdx"), size=length + 7)), ref[1:], ref[::-1]):
+            assert align_and_score(ref, hyp) == reference_alignment(ref, hyp)
 
     def test_random_pairs_against_oracle(self, rng):
         vocab = [f"tok{i}" for i in range(8)]

@@ -28,7 +28,7 @@ def test_run_experiment_refuses_malformed_frames(tmp_path, frames):
     workdir = tmp_path / "exp"
     proc = run_script("run_experiment.py", "--workdir", str(workdir), "--frames", frames)
     assert proc.returncode == 2
-    assert "argument --frames" in proc.stderr
+    assert f"argument --frames: frames must be 'N' or 'LO:HI', got {frames!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not workdir.exists()
 
