@@ -67,7 +67,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
-    reference = dataio.load_transcript(args.reference)
+    reference = pipeline.load_reference(args.reference)
     hypothesis = dataio.load_transcript(args.hypothesis)
     rep = align_and_score(reference, hypothesis)
     if args.format == "machine":

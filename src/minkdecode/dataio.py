@@ -35,11 +35,12 @@ SplitMix64 is counter-based: draw k of the stream seeded with s is a fixed
 mix of s + k*gamma. `splitmix64_doubles` therefore computes many draws of
 many streams at once in wrapping uint64 arithmetic, and `generate_corpus`
 takes every utterance's draws from it in blocks, giving the same draws in
-the same places as the scalar `SplitMix64` reference. The arithmetic on the
-draws is kept as the scalar generator did it, so corpora stay byte for
-byte the same: exponentials use `math.log1p` (numpy's `log1p` differs from
-it in the last bit on some inputs), cumulative probabilities add in row
-order, and row totals use numpy's `sum`.
+the same places as the scalar SplitMix64 reference in the test suite
+(`tests/oracles.py`). The arithmetic on the draws is kept as that scalar
+generator does it, so corpora stay byte for byte the same: exponentials
+use `math.log1p` (numpy's `log1p` differs from it in the last bit on some
+inputs), cumulative probabilities add in row order, and row totals use
+numpy's `sum`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "NoiseSpec",
     "CorpusUtterance",
     "CorpusManifest",
-    "SplitMix64",
     "splitmix64_doubles",
     "format_float",
     "write_text",
@@ -80,6 +80,7 @@ __all__ = [
     "load_priors",
     "load_manifest",
     "save_manifest",
+    "check_frames_range",
     "generate_corpus",
 ]
 
@@ -457,51 +458,16 @@ def load_manifest(path) -> CorpusManifest:
 # seeded generation
 # ---------------------------------------------------------------------------
 
-class SplitMix64:
-    """SplitMix64: 64-bit generator with identical output on every platform.
-
-    Reference output from seed 0 starts 0xe220a8397b1dcdaf,
-    0x6e789e6aa1b965f4, 0x06c45d188009454f.
-    """
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & self._MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def next_double(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return min(int(self.next_double() * n), n - 1)
-
-    def categorical(self, probs) -> int:
-        u = self.next_double()
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                return i
-        return len(probs) - 1
-
-
 # Draws `generate_corpus` holds at once. Utterances are generated in blocks of
 # at most this many draws (one that needs more gets a block of its own), so
 # its memory does not grow with the corpus.
 _BLOCK_DRAWS = 1 << 14
 
+_U64_MASK = (1 << 64) - 1  # a seed + i that passes 2**64 wraps
+
 
 def splitmix64_doubles(seeds, n: int) -> np.ndarray:
-    """The first n `SplitMix64(seed).next_double()` values of each seed, one row per seed.
+    """The first n doubles of each seed's SplitMix64 stream, one row per seed.
 
     Draw k (counting from 1) of a stream is a fixed mix of seed + k*gamma,
     so every draw is computed at once; uint64 arithmetic wraps as the scalar
@@ -517,12 +483,12 @@ def splitmix64_doubles(seeds, n: int) -> np.ndarray:
 
 
 def _below(u: float, n: int) -> int:
-    """`SplitMix64.below(n)` given its draw u."""
+    """The scalar generator's `below(n)` given its draw u."""
     return min(int(u * n), n - 1)
 
 
 def _pick(cumulative: list[float], u: float) -> int:
-    """`SplitMix64.categorical` given its draw u and the running sums of its probabilities."""
+    """The scalar generator's `categorical` given its draw u and its probabilities' running sums."""
     return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
 
 
@@ -550,6 +516,14 @@ def _posterior_rows(draws: np.ndarray, centers: list[int], starts: list[int],
     return w / total[:, None]
 
 
+def check_frames_range(frames_range) -> tuple[int, int]:
+    """frames_range as (lo, hi): two ints, nothing converted, with 1 <= lo <= hi."""
+    lo, hi = (json_field(frames_range[k], int, "frames_range") for k in (0, 1))
+    if not 1 <= lo <= hi:
+        raise ValidationError(f"frames range must satisfy 1 <= lo <= hi, got {frames_range!r}")
+    return lo, hi
+
+
 def generate_corpus(
     hmm: HmmModel,
     num_utterances: int,
@@ -574,9 +548,7 @@ def generate_corpus(
     """
     if json_field(num_utterances, int, "num_utterances") < 1:
         raise ValidationError("num_utterances must be >= 1")
-    lo, hi = (json_field(frames_range[k], int, "frames_range") for k in (0, 1))
-    if not 1 <= lo <= hi:
-        raise ValidationError(f"frames range must satisfy 1 <= lo <= hi, got {frames_range!r}")
+    lo, hi = check_frames_range(frames_range)
     classes = int(hmm.state_to_class.max()) + 1
     if classes < 2:
         raise ValidationError("corpus generation needs at least 2 classes")
@@ -592,7 +564,7 @@ def generate_corpus(
     utts = []
     for first in range(0, num_utterances, block):
         ids = range(first, min(first + block, num_utterances))
-        draws = splitmix64_doubles([(noise.seed + i) & SplitMix64._MASK for i in ids], utt_draws)
+        draws = splitmix64_doubles([(noise.seed + i) & _U64_MASK for i in ids], utt_draws)
         paths, centers, starts = [], [], []
         for offset, u in zip(range(0, draws.size, utt_draws), draws.tolist()):
             num_frames = lo + _below(u[0], hi - lo + 1)

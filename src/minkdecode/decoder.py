@@ -1,14 +1,11 @@
-"""Log-domain Viterbi decoding against a small HMM, with an exact oracle.
+"""Log-domain Viterbi decoding against a small HMM.
 
-`viterbi_decode` is the standard max-product dynamic program.
-`exhaustive_decode` scores every state path outright and exists to check it
-on tiny instances; both apply the same tie-breaking rule (prefer the lower
-state index at every decision). They agree on path and score when path sums
-are exact. Otherwise rounding can make two whole-path sums equal for the
-oracle when the DP's prefix sums differed, and the two may then return
-different paths of equal score; LOG_FLOOR entries make this much likelier.
-Emission scores come from a LogScoreMatrix through the model's
-state-to-class column map.
+`viterbi_decode` is the standard max-product dynamic program; ties prefer
+the lower state index at every decision. Emission scores come from a
+LogScoreMatrix through the model's state-to-class column map (`_emissions`)
+and paths become results through `_result`. The test suite's oracle, which
+scores every state path outright (`tests/oracles.py`), uses those two
+helpers too, so it and the DP differ only in how they search.
 
 `HmmModel` owns the model's invariants (string labels, one label and class
 per state, distributions summing to 1 by `posteriors.check_row_sums`);
@@ -29,13 +26,8 @@ __all__ = [
     "HmmModel",
     "DecodingResult",
     "viterbi_decode",
-    "exhaustive_decode",
-    "score_path",
     "collapse_tokens",
 ]
-
-EXHAUSTIVE_PATH_LIMIT = 10_000_000
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -194,64 +186,3 @@ def viterbi_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
         state = bp[t][state]
         path[t - 1] = state
     return _result(path, log_score, hmm)
-
-
-def exhaustive_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
-    """Best state path by scoring every path; oracle for `viterbi_decode`.
-
-    Applies the same tie-breaking rule as the DP (the winning path is the
-    one minimizing the state sequence read from the last frame backwards,
-    among all score-maximal paths). Refuses instances with more than
-    EXHAUSTIVE_PATH_LIMIT paths.
-    """
-    emis = _emissions(scores, hmm)
-    num_frames, num_states = emis.shape
-    total = num_states**num_frames
-    if total > EXHAUSTIVE_PATH_LIMIT:
-        raise ValidationError(
-            f"{num_states}^{num_frames} = {total} paths exceeds the exhaustive "
-            f"limit of {EXHAUSTIVE_PATH_LIMIT}"
-        )
-    shape = (num_states,) * num_frames
-    best_score = -np.inf
-    best_path: np.ndarray | None = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        # Digits of idx enumerate paths in reverse order: earlier index ==
-        # smaller state sequence read from the last frame backwards, which
-        # is exactly the DP's tie preference.
-        rev = np.unravel_index(idx, shape)
-        states = rev[::-1]
-        tot = hmm.log_initial[states[0]] + emis[0, states[0]]
-        for t in range(1, num_frames):
-            tot = tot + hmm.log_transitions[states[t - 1], states[t]]
-            tot = tot + emis[t, states[t]]
-        j = int(np.argmax(tot))  # first max: smallest reversed sequence
-        if tot[j] > best_score:
-            best_score = float(tot[j])
-            best_path = np.array([s[j] for s in states], dtype=np.int64)
-    assert best_path is not None
-    return _result(best_path, best_score, hmm)
-
-
-def score_path(path: Sequence[int], scores: LogScoreMatrix, hmm: HmmModel) -> float:
-    """Log score of an explicit state path: initial + transitions + emissions.
-
-    Accumulates in the same order as the DP, so the score of a decoded path
-    reproduces DecodingResult.log_score exactly.
-    """
-    emis = _emissions(scores, hmm)
-    num_frames, num_states = emis.shape
-    if len(path) != num_frames:
-        raise ValidationError(
-            f"path length {len(path)} != number of frames {num_frames}"
-        )
-    states = [int(s) for s in path]
-    for s in states:
-        if not 0 <= s < num_states:
-            raise ValidationError(f"state index {s} out of range [0, {num_states})")
-    total = hmm.log_initial[states[0]] + emis[0, states[0]]
-    for t in range(1, num_frames):
-        total = total + hmm.log_transitions[states[t - 1], states[t]]
-        total = total + emis[t, states[t]]
-    return float(total)

@@ -14,13 +14,3 @@ class DataFormatError(ValidationError):
         where = f"{self.path}:{line}" if line is not None else self.path
         super().__init__(f"{where}: {message}")
 
-
-class SolverError(RuntimeError):
-    """Root solver failed to converge; carries the last iterate and residual."""
-
-    def __init__(self, message: str, last_iterate: float, residual: float):
-        self.last_iterate = last_iterate
-        self.residual = residual
-        super().__init__(
-            f"{message} (last iterate {last_iterate!r}, residual {residual!r})"
-        )

@@ -1,7 +1,8 @@
 """The decode pipeline behind the CLI: experiments, reports and curve charts.
 
 `decode_tokens` is the single-file path: transform, log scores, Viterbi;
-`check_priors` refuses priors of the wrong length, naming their file.
+`check_priors` refuses priors of the wrong length and `load_reference` an
+empty reference, each naming its file.
 `run_experiment` decodes one corpus at several orders and pools WER per
 order; `report_document` serializes the result byte-reproducibly (decode
 timings stay out of it), and `report_table` renders it for a terminal.
@@ -51,6 +52,17 @@ def check_priors(priors: np.ndarray, classes: int, path) -> None:
         )
 
 
+def load_reference(path) -> tuple[str, ...]:
+    """The reference transcript in `path`; an empty one is refused, naming the file.
+
+    `align_and_score` refuses an empty reference too, but cannot name the file.
+    """
+    tokens = dataio.load_transcript(path)
+    if not tokens:
+        raise DataFormatError(path, None, "reference must be non-empty")
+    return tokens
+
+
 def wer_line(rep: WerReport) -> str:
     return (
         f"WER {rep.wer:.3f} (S={rep.substitutions} D={rep.deletions} "
@@ -73,14 +85,14 @@ def wer_json(rep: WerReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def parse_frames(text: str) -> tuple[int, int]:
-    """A frames-per-utterance range written 'N' or 'LO:HI'."""
+    """A frames-per-utterance range, 'N' or 'LO:HI', checked by `dataio.check_frames_range`."""
     try:
         bounds = [int(part) for part in text.split(":")]
     except ValueError:
         bounds = []
     if len(bounds) not in (1, 2):
         raise ValidationError(f"frames must be 'N' or 'LO:HI', got {text!r}")
-    return bounds[0], bounds[-1]
+    return dataio.check_frames_range((bounds[0], bounds[-1]))
 
 
 @dataclass(frozen=True)
@@ -158,7 +170,8 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
     The same loaded posterior matrices are reused for every order, so the
     transform is the only varying factor. Relative reduction is computed
     against the order-2 result when present. Every config field is checked
-    before any file is read.
+    before any file is read, and every reference and the priors before
+    anything is decoded.
     """
     try:
         orders, renormalize, corpus, noise = _read_config(config)
@@ -177,7 +190,7 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
         )
 
     loaded = [
-        (dataio.load_posteriors(u.posteriors_path), dataio.load_transcript(u.reference_path))
+        (dataio.load_posteriors(u.posteriors_path), load_reference(u.reference_path))
         for u in manifest.utterances
     ]
     if priors is not None:

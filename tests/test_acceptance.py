@@ -19,14 +19,8 @@ import pytest
 from minkdecode import (
     LogScoreMatrix,
     align_and_score,
-    analyze_odd_order,
-    brute_force_transform,
     cli,
-    closed_form_transform,
     corpus_wer,
-    exhaustive_decode,
-    gradient_coefficients,
-    newton_transform,
     to_log_scores,
     transform_matrix,
     viterbi_decode,
@@ -37,6 +31,14 @@ from conftest import (
     make_random_posteriors,
     make_random_scores,
     make_uniform_hmm,
+)
+from oracles import (
+    analyze_odd_order,
+    brute_force_transform,
+    closed_form_transform,
+    exhaustive_decode,
+    gradient_coefficients,
+    newton_transform,
 )
 from test_scoring import reference_levenshtein
 

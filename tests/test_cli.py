@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minkdecode import align_and_score, cli
+from minkdecode import align_and_score, cli, pipeline
 from minkdecode.dataio import load_posteriors, load_transcript
 
 T4_01 = 0.324666488787  # grid-oracle transform(0.1, order=4)
@@ -309,6 +309,14 @@ class TestScoreCommand:
         assert doc["substitutions"] == 1
         assert doc["wer"] == 0.5
 
+    def test_empty_reference_names_file(self, tmp_path, capsys):
+        ref = tmp_path / "empty.ref"
+        ref.write_text("")
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("a\n")
+        assert cli.main(["score", str(ref), str(hyp)]) == cli.EXIT_VALIDATION
+        assert f"error: {ref}: reference must be non-empty" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_writes_manifest(self, tmp_path, demo_hmm, capsys):
@@ -354,6 +362,25 @@ class TestExperimentCommand:
         assert [entry["wer"] for entry in doc["orders"]] == [0.0, 0.0, 0.0]
         reductions = [entry["relative_reduction_vs_order2"] for entry in doc["orders"]]
         assert reductions == [None, 0.0, 0.0]
+
+    def test_empty_reference_refused_before_decoding(self, tmp_path, demo_hmm, capsys,
+                                                     monkeypatch):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--hmm", str(demo_hmm), "--utterances", "3",
+                         "--frames", "4:6", "--out", str(corpus)]) == 0
+        empty = corpus / "utt0001.ref"
+        empty.write_text("")
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"hmm": demo_hmm.name,
+                                   "corpus": {"manifest": "corpus/manifest.json"},
+                                   "report": "report.json"}))
+        decoded = []
+        monkeypatch.setattr(pipeline, "decode_tokens", lambda *args: decoded.append(args))
+        capsys.readouterr()
+        assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
+        assert f"error: {empty}: reference must be non-empty" in capsys.readouterr().err
+        assert decoded == []
+        assert not (tmp_path / "report.json").exists()
 
     def test_matches_stepwise_decode_and_score(self, tmp_path, demo_hmm):
         cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 17, orders=(4,))

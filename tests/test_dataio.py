@@ -24,7 +24,6 @@ from minkdecode.dataio import (
     CorpusManifest,
     CorpusUtterance,
     NoiseSpec,
-    SplitMix64,
     format_float,
     generate_corpus,
     load_hmm,
@@ -41,6 +40,7 @@ from minkdecode.dataio import (
 )
 
 from conftest import make_random_hmm, make_random_posteriors
+from oracles import SplitMix64
 
 
 class TestPosteriorFormat:

@@ -8,13 +8,12 @@ from minkdecode import (
     HmmModel,
     LogScoreMatrix,
     ValidationError,
-    exhaustive_decode,
-    score_path,
     viterbi_decode,
 )
 from minkdecode.decoder import collapse_tokens
 
 from conftest import make_random_hmm, make_random_scores, make_uniform_hmm
+from oracles import exhaustive_decode, score_path
 
 
 class TestHmmModel:

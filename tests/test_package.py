@@ -1,9 +1,13 @@
-"""Every name the package and its modules export exists."""
+"""What the package and its modules export: every name exists, and no oracle ships."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import minkdecode
+from minkdecode import dataio, errors, minkowski
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -18,3 +22,31 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_oracles_are_not_shipped():
+    assert sorted(minkdecode.__all__) == [
+        "DataFormatError",
+        "DecodingResult",
+        "HmmModel",
+        "LOG_FLOOR",
+        "LogScoreMatrix",
+        "LossOrder",
+        "PosteriorMatrix",
+        "ValidationError",
+        "WerReport",
+        "align_and_score",
+        "corpus_wer",
+        "to_log_scores",
+        "transform_matrix",
+        "viterbi_decode",
+    ]
+    assert minkowski.__all__ == ["LossOrder", "transform_values"]
+    assert "SplitMix64" not in dataio.__all__
+    assert not hasattr(errors, "SolverError")
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})

@@ -11,12 +11,12 @@ from minkdecode import (
     LogScoreMatrix,
     PosteriorMatrix,
     ValidationError,
-    closed_form_transform,
     to_log_scores,
     transform_matrix,
 )
 
 from conftest import make_random_posteriors
+from oracles import closed_form_transform
 
 # frozen from the grid oracle: transform(0.8, 4), transform(0.1, 4)
 T4_08 = 0.613511790436

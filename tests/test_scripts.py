@@ -23,12 +23,17 @@ def test_run_experiment_writes_report(tmp_path):
     assert [entry["order"] for entry in doc["orders"]] == [2, 4, 6]
 
 
-@pytest.mark.parametrize("frames", ["abc", "12:"])
-def test_run_experiment_refuses_malformed_frames(tmp_path, frames):
+@pytest.mark.parametrize("frames, reason", [
+    ("abc", "frames must be 'N' or 'LO:HI', got 'abc'"),
+    ("12:", "frames must be 'N' or 'LO:HI', got '12:'"),
+    ("5:2", "frames range must satisfy 1 <= lo <= hi, got (5, 2)"),
+    ("0", "frames range must satisfy 1 <= lo <= hi, got (0, 0)"),
+], ids=["abc", "12:", "5:2", "0"])
+def test_run_experiment_refuses_malformed_frames(tmp_path, frames, reason):
     workdir = tmp_path / "exp"
     proc = run_script("run_experiment.py", "--workdir", str(workdir), "--frames", frames)
     assert proc.returncode == 2
-    assert f"argument --frames: frames must be 'N' or 'LO:HI', got {frames!r}" in proc.stderr
+    assert f"argument --frames: {reason}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not workdir.exists()
 
