@@ -89,13 +89,13 @@ def cmd_synth(args) -> int:
 
 def cmd_experiment(args) -> int:
     config_path = Path(args.config)
-    config = dataio.load_json(config_path)
+    config = pipeline.read_config(dataio.load_json(config_path))
     report = pipeline.run_experiment(config, config_path.parent)
     for r in report.results:
         print(f"order {r.order}: decoded in {r.decode_seconds:.3f}s", file=sys.stderr)
     doc = pipeline.report_document(report)
-    if config.get("report"):
-        dataio.write_text(config_path.parent / config["report"], doc)
+    if config.report is not None:
+        dataio.write_text(config_path.parent / config.report, doc)
     if args.format == "machine":
         sys.stdout.write(doc)
     else:

@@ -12,8 +12,8 @@ save -> load round-trips are exact):
   `load_hmm` checks the JSON types and `num_states`; `HmmModel` the rest.
 * transcript: one token per line.
 * corpus manifest: JSON listing utterance ids and their posterior and
-  reference files (all strings), plus the generator seed and noise
-  parameters.
+  reference files (all non-empty strings), plus the generator seed and
+  noise parameters. Unknown keys are rejected.
 
 `write_text` is the one writer for every file the program writes. A
 regular file that already holds exactly the bytes to be written is left
@@ -23,8 +23,8 @@ another size or other bytes, a FIFO, device or directory) gets a plain
 truncating write, so a crash mid-write is no different from before; a
 non-regular file is never read.
 
-`load_json` reads every JSON document; `json_field` is the one type check
-for the fields of a config, a manifest and a noise spec.
+`load_json` reads every JSON document; `json_object` is the one key check
+for the objects in them, and `json_field` the one type check for their fields.
 
 The corpus generator simulates an acoustic model's posteriors along a state
 path sampled from the HMM. Randomness comes from SplitMix64, a named
@@ -70,6 +70,7 @@ __all__ = [
     "format_float",
     "write_text",
     "json_field",
+    "json_object",
     "load_json",
     "load_posteriors",
     "save_posteriors",
@@ -80,7 +81,7 @@ __all__ = [
     "load_priors",
     "load_manifest",
     "save_manifest",
-    "check_frames_range",
+    "check_corpus_size",
     "generate_corpus",
 ]
 
@@ -230,66 +231,74 @@ def load_json(path: Path):
         raise DataFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
 
 
-_JSON_KINDS = {int: "an integer", numbers.Real: "a number", str: "a string",
-               bool: "true or false", list: "a list", dict: "an object"}
+_JSON_KINDS = {int: "an integer", numbers.Real: "a number", str: "a non-empty string",
+               bool: "true or false", list: "a list"}
 
 
 def json_field(value, kind: type, field: str, what: str | None = None):
     """value if it has the JSON type kind (a key of _JSON_KINDS), else a ValidationError.
 
-    A bool is never an integer or a number. The message names field, and
-    what (if given) in place of the type.
+    A bool is never an integer or a number, and "" never a string: it names
+    no file. The message names field, and what (if given) in place of the type.
     """
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)) and value != "":
         return value
     raise ValidationError(f"field '{field}' must be {what or _JSON_KINDS[kind]}, got {value!r}")
+
+
+def json_object(value, required, optional=(), field: str | None = None) -> dict:
+    """value if it is a JSON object with every key in required and the rest in optional.
+
+    field names the object as in `json_field` (None: a whole document, which
+    the caller names) and its keys as field.key; the first missing key is named.
+    """
+    where, prefix = ("", "") if field is None else (f"field '{field}' ", f"{field}.")
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}must be a JSON object")
+    unknown = value.keys() - {*required, *optional}
+    if unknown:
+        raise ValidationError(f"{where}has unknown fields {sorted(unknown)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValidationError(f"field '{prefix}{missing[0]}' is missing")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # HMM documents
 # ---------------------------------------------------------------------------
 
-_HMM_FIELDS = {"num_states", "initial", "transitions", "labels", "state_to_class"}
-
-
 def load_hmm(path) -> HmmModel:
     path = Path(path)
     doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise DataFormatError(path, None, "HMM document must be a JSON object")
-    unknown = set(doc) - _HMM_FIELDS
-    if unknown:
-        raise DataFormatError(path, None, f"unknown fields {sorted(unknown)}")
-    missing = _HMM_FIELDS - set(doc)
-    if missing:
-        raise DataFormatError(path, None, f"missing fields {sorted(missing)}")
-    n = doc["num_states"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DataFormatError(path, None, f"num_states must be a positive integer, got {n!r}")
-    init = _numbers(path, doc, "initial")
-    trans = _numbers(path, doc, "transitions")
-    if init.shape != (n,):
-        raise DataFormatError(path, None, f"initial must have {n} entries, got shape {init.shape}")
-    labels = doc["labels"]
-    s2c = doc["state_to_class"]
-    if not isinstance(labels, list):
-        raise DataFormatError(path, None, f"labels must be a list of strings, got {labels!r}")
-    if not isinstance(s2c, list):
-        raise DataFormatError(path, None, f"state_to_class must be a list, got {s2c!r}")
     try:
+        json_object(doc, ("num_states", "initial", "transitions", "labels", "state_to_class"))
+        n = doc["num_states"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValidationError(f"num_states must be a positive integer, got {n!r}")
+        init = _numbers(doc, "initial")
+        trans = _numbers(doc, "transitions")
+        if init.shape != (n,):
+            raise ValidationError(f"initial must have {n} entries, got shape {init.shape}")
+        labels = doc["labels"]
+        s2c = doc["state_to_class"]
+        if not isinstance(labels, list):
+            raise ValidationError(f"labels must be a list of strings, got {labels!r}")
+        if not isinstance(s2c, list):
+            raise ValidationError(f"state_to_class must be a list, got {s2c!r}")
         return HmmModel.from_probs(init, trans, labels, s2c)
     except ValidationError as exc:
         raise DataFormatError(path, None, str(exc)) from None
 
 
-def _numbers(path: Path, doc: dict, name: str) -> np.ndarray:
+def _numbers(doc: dict, name: str) -> np.ndarray:
     """The HMM field `name` as a float64 array; strings and ragged nesting are refused."""
     try:
         arr = np.asarray(doc[name])
     except ValueError:  # ragged nested lists
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
-        raise DataFormatError(path, None, f"{name} must hold only numbers, got {doc[name]!r}")
+        raise ValidationError(f"{name} must hold only numbers, got {doc[name]!r}")
     return arr.astype(np.float64, copy=False)
 
 
@@ -370,12 +379,9 @@ class NoiseSpec:
 
     @classmethod
     def from_json(cls, doc) -> "NoiseSpec":
-        """The spec stored as a JSON ``noise`` object; other keys are ignored."""
-        json_field(doc, dict, "noise")
+        """The spec stored as a JSON ``noise`` object: its three fields and no others."""
         names = [f.name for f in fields(cls)]
-        for name in names:
-            if name not in doc:
-                raise ValidationError(f"field 'noise.{name}' is missing")
+        json_object(doc, names, field="noise")
         return cls(*(doc[name] for name in names))
 
 
@@ -431,19 +437,16 @@ def _relative_to(p, base: Path) -> str:
 def load_manifest(path) -> CorpusManifest:
     path = Path(path)
     doc = load_json(path)
-    if not isinstance(doc, dict) or "utterances" not in doc:
-        raise DataFormatError(path, None, "manifest must be an object with 'utterances'")
     base = path.parent
+    keys = ("id", "posteriors", "reference")
     try:
+        json_object(doc, ("utterances",), ("noise",))
         noise = None if doc.get("noise") is None else NoiseSpec.from_json(doc["noise"])
         entries = json_field(doc["utterances"], list, "utterances", "a list of objects")
         utts = []
         for i, entry in enumerate(entries):
-            json_field(entry, dict, f"utterances[{i}]")
-            uid, post, ref = (
-                json_field(entry.get(key), str, f"utterances[{i}].{key}")
-                for key in ("id", "posteriors", "reference")
-            )
+            json_object(entry, keys, field=f"utterances[{i}]")
+            uid, post, ref = (json_field(entry[k], str, f"utterances[{i}].{k}") for k in keys)
             utt = CorpusUtterance(uid, base / post, base / ref)
             for p in (utt.posteriors_path, utt.reference_path):
                 if not p.exists():
@@ -516,11 +519,18 @@ def _posterior_rows(draws: np.ndarray, centers: list[int], starts: list[int],
     return w / total[:, None]
 
 
-def check_frames_range(frames_range) -> tuple[int, int]:
-    """frames_range as (lo, hi): two ints, nothing converted, with 1 <= lo <= hi."""
-    lo, hi = (json_field(frames_range[k], int, "frames_range") for k in (0, 1))
+def check_corpus_size(utterances, frames, frames_name: str = "field 'frames'") -> tuple[int, int]:
+    """frames as (lo, hi) if utterances is an int >= 1 and frames two ints with 1 <= lo <= hi.
+
+    Nothing is converted. A range out of order is called frames_name.
+    """
+    if json_field(utterances, int, "utterances") < 1:
+        raise ValidationError(f"field 'utterances' must be >= 1, got {utterances!r}")
+    if not isinstance(frames, (list, tuple)) or len(frames) != 2:
+        raise ValidationError(f"field 'frames' must be [lo, hi], got {frames!r}")
+    lo, hi = (json_field(bound, int, "frames") for bound in frames)
     if not 1 <= lo <= hi:
-        raise ValidationError(f"frames range must satisfy 1 <= lo <= hi, got {frames_range!r}")
+        raise ValidationError(f"{frames_name} must satisfy 1 <= lo <= hi, got {frames!r}")
     return lo, hi
 
 
@@ -543,12 +553,10 @@ def generate_corpus(
     An utterance's draws are, in order: its frame count; one per frame for
     its state path; then for each frame a confusion draw, one more naming
     the wrong class if the frame is confused, and one exponential per class
-    (none when the concentration is inf). num_utterances and the bounds
-    of frames_range must be ints; nothing is converted to one.
+    (none when the concentration is inf). The sizes must pass
+    `check_corpus_size`, which names them 'utterances' and 'frames'.
     """
-    if json_field(num_utterances, int, "num_utterances") < 1:
-        raise ValidationError("num_utterances must be >= 1")
-    lo, hi = check_frames_range(frames_range)
+    lo, hi = check_corpus_size(num_utterances, frames_range)
     classes = int(hmm.state_to_class.max()) + 1
     if classes < 2:
         raise ValidationError("corpus generation needs at least 2 classes")

@@ -3,9 +3,9 @@
 `decode_tokens` is the single-file path: transform, log scores, Viterbi;
 `check_priors` refuses priors of the wrong length and `load_reference` an
 empty reference, each naming its file.
-`run_experiment` decodes one corpus at several orders and pools WER per
-order; `report_document` serializes the result byte-reproducibly (decode
-timings stay out of it), and `report_table` renders it for a terminal.
+`read_config` checks an experiment config and `run_experiment` pools its
+WER per order; `report_document` serializes the result byte-reproducibly
+(decode timings stay out of it), and `report_table` renders it for a terminal.
 `curve_table`, `curves_text` and `curves_svg` tabulate and chart the
 transform over a uniform posterior grid.
 """
@@ -85,14 +85,14 @@ def wer_json(rep: WerReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def parse_frames(text: str) -> tuple[int, int]:
-    """A frames-per-utterance range, 'N' or 'LO:HI', checked by `dataio.check_frames_range`."""
+    """A frames-per-utterance range, 'N' or 'LO:HI', checked by `dataio.check_corpus_size`."""
     try:
         bounds = [int(part) for part in text.split(":")]
     except ValueError:
         bounds = []
     if len(bounds) not in (1, 2):
         raise ValidationError(f"frames must be 'N' or 'LO:HI', got {text!r}")
-    return dataio.check_frames_range((bounds[0], bounds[-1]))
+    return dataio.check_corpus_size(1, (bounds[0], bounds[-1]), frames_name="frames range")
 
 
 @dataclass(frozen=True)
@@ -115,79 +115,75 @@ class ExperimentReport:
     config_echo: dict
 
 
-_CONFIG_FIELDS = {"hmm", "orders", "renormalize", "priors", "corpus", "report"}
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """An experiment config `read_config` checked; paths are relative to the config's directory."""
+
+    hmm: str
+    orders: tuple[int, ...]
+    renormalize: bool
+    priors: str | None
+    report: str | None
+    corpus: dict  # as written, for the report's echo
+    manifest: str | None  # read when generate is None
+    # `dataio.generate_corpus`'s arguments after the HMM: utterances, frames, noise, directory
+    generate: tuple[int, tuple[int, int], dataio.NoiseSpec, str] | None
 
 
-def _read_config(config) -> tuple[tuple[int, ...], bool, dict, dataio.NoiseSpec | None]:
-    """Check every field of an experiment config against its JSON type.
+def read_config(doc) -> ExperimentConfig:
+    """The experiment config in the JSON document doc, every field checked; no file is touched.
 
-    Each order must also pass `LossOrder`, the one order validator. Returns
-    the orders, the renormalize flag, the corpus object and, when
-    the corpus is to be generated, its noise spec. Messages name the field
-    and leave it to the caller to say that the field is the config's.
+    Orders must pass `LossOrder`, the one order validator, and the corpus
+    sizes `dataio.check_corpus_size`. Messages start with 'config'.
     """
     field = dataio.json_field
-    if not isinstance(config, dict):
-        raise ValidationError("must be a JSON object")
-    unknown = set(config) - _CONFIG_FIELDS
-    if unknown:
-        raise ValidationError(f"has unknown fields {sorted(unknown)}")
-    for name in ("hmm", "corpus"):
-        if name not in config:
-            raise ValidationError(f"field '{name}' is missing")
-    field(config["hmm"], str, "hmm")
-    # Optional, null means none. The caller writes the report; checking it
-    # here refuses a bad one before anything is decoded.
-    for name in ("priors", "report"):
-        if config.get(name) is not None:
-            field(config[name], str, name)
-    orders = field(config.get("orders", list(DEFAULT_ORDERS)), list, "orders", "a list of integers")
     try:
-        orders = tuple(LossOrder(n).value for n in orders)
+        dataio.json_object(doc, ("hmm", "corpus"), ("orders", "renormalize", "priors", "report"))
+        hmm = field(doc["hmm"], str, "hmm")
+        # Optional, null means none.
+        priors, report = (None if doc.get(k) is None else field(doc[k], str, k)
+                          for k in ("priors", "report"))
+        orders = field(doc.get("orders", list(DEFAULT_ORDERS)), list, "orders", "a list of integers")
+        try:
+            orders = tuple(LossOrder(n).value for n in orders)
+        except ValidationError as exc:
+            raise ValidationError(f"field 'orders': {exc}") from None
+        if not orders or len(set(orders)) != len(orders):
+            raise ValidationError(f"field 'orders' must be non-empty and distinct, got {list(orders)}")
+        renormalize = field(doc.get("renormalize", True), bool, "renormalize")
+        corpus = doc["corpus"]
+        manifest = generate = None
+        if isinstance(corpus, dict) and "manifest" in corpus:
+            manifest = field(corpus["manifest"], str, "corpus.manifest")
+            dataio.json_object(corpus, ("manifest",), field="corpus")
+        else:
+            dataio.json_object(corpus, ("dir", "utterances", "frames", "noise"), field="corpus")
+            out_dir = field(corpus["dir"], str, "corpus.dir")
+            frames = dataio.check_corpus_size(corpus["utterances"], corpus["frames"])
+            noise = dataio.NoiseSpec.from_json(corpus["noise"])
+            generate = (corpus["utterances"], frames, noise, out_dir)
+        return ExperimentConfig(hmm, orders, renormalize, priors, report, corpus, manifest, generate)
     except ValidationError as exc:
-        raise ValidationError(f"field 'orders': {exc}") from None
-    renormalize = field(config.get("renormalize", True), bool, "renormalize")
-    corpus = field(config["corpus"], dict, "corpus")
-    if "manifest" in corpus:
-        field(corpus["manifest"], str, "corpus.manifest")
-        return orders, renormalize, corpus, None
-    for key in ("dir", "utterances", "frames", "noise"):
-        if key not in corpus:
-            raise ValidationError(f"field 'corpus.{key}' is missing")
-    field(corpus["dir"], str, "corpus.dir")
-    field(corpus["utterances"], int, "utterances")
-    frames = field(corpus["frames"], list, "frames", "[lo, hi]")
-    if len(frames) != 2:
-        raise ValidationError(f"field 'frames' must be [lo, hi], got {frames!r}")
-    for bound in frames:
-        field(bound, int, "frames")
-    return orders, renormalize, corpus, dataio.NoiseSpec.from_json(corpus["noise"])
+        raise ValidationError(f"config {exc}") from None
 
 
-def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, base_dir: Path) -> ExperimentReport:
     """Decode one corpus at every configured order and pool WER per order.
 
     The same loaded posterior matrices are reused for every order, so the
     transform is the only varying factor. Relative reduction is computed
-    against the order-2 result when present. Every config field is checked
-    before any file is read, and every reference and the priors before
-    anything is decoded.
+    against the order-2 result when present. Every reference and the priors
+    are checked before anything is decoded.
     """
-    try:
-        orders, renormalize, corpus, noise = _read_config(config)
-    except ValidationError as exc:
-        raise ValidationError(f"config {exc}") from None
-    hmm = dataio.load_hmm(base_dir / config["hmm"])
+    hmm = dataio.load_hmm(base_dir / config.hmm)
     priors = None
-    if config.get("priors"):
-        priors_path = base_dir / config["priors"]
-        priors = dataio.load_priors(priors_path)
-    if noise is None:
-        manifest = dataio.load_manifest(base_dir / corpus["manifest"])
+    if config.priors is not None:
+        priors = dataio.load_priors(base_dir / config.priors)
+    if config.generate is None:
+        manifest = dataio.load_manifest(base_dir / config.manifest)
     else:
-        manifest = dataio.generate_corpus(
-            hmm, corpus["utterances"], tuple(corpus["frames"]), noise, base_dir / corpus["dir"]
-        )
+        utterances, frames, noise, out_dir = config.generate
+        manifest = dataio.generate_corpus(hmm, utterances, frames, noise, base_dir / out_dir)
 
     loaded = [
         (dataio.load_posteriors(u.posteriors_path), load_reference(u.reference_path))
@@ -195,13 +191,13 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
     ]
     if priors is not None:
         for matrix, _ in loaded:
-            check_priors(priors, matrix.classes, priors_path)
+            check_priors(priors, matrix.classes, base_dir / config.priors)
     results = []
     order2_wer: float | None = None
-    for order in orders:
+    for order in config.orders:
         start = time.perf_counter()
         pairs = [
-            (ref, decode_tokens(matrix, hmm, order, renormalize, priors))
+            (ref, decode_tokens(matrix, hmm, order, config.renormalize, priors))
             for matrix, ref in loaded
         ]
         elapsed = time.perf_counter() - start
@@ -216,13 +212,7 @@ def run_experiment(config: dict, base_dir: Path) -> ExperimentReport:
         if order != 2 and order2_wer is not None:
             reduction = 0.0 if order2_wer == 0.0 else (order2_wer - rep.wer) / order2_wer
         out.append(OrderResult(order, rep, elapsed, reduction))
-    echo = {
-        "hmm": config["hmm"],
-        "orders": list(orders),
-        "renormalize": renormalize,
-        "priors": config.get("priors") or None,
-        "corpus": corpus,
-    }
+    echo = {k: getattr(config, k) for k in ("hmm", "orders", "renormalize", "priors", "corpus")}
     return ExperimentReport(tuple(out), echo)
 
 

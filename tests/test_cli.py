@@ -427,10 +427,25 @@ class TestExperimentCommand:
         (None, "hmm", MISSING, "hmm"),
         ("corpus", "dir", MISSING, "corpus.dir"),
         ("corpus", "frames", [6, 9, 12], "frames"),
+        ("corpus", "utterances", 0, "utterances"),
+        ("corpus", "frames", [5, 2], "frames"),
+        ("corpus", "speaker", "x", "corpus"),
+        ("noise", "scale", 2.0, "noise"),
+        ("corpus", "manifest", "corpus/manifest.json", "corpus"),
+        (None, "orders", [], "orders"),
+        (None, "orders", [4, 4], "orders"),
+        (None, "hmm", "", "hmm"),
+        (None, "priors", "", "priors"),
+        (None, "report", "", "report"),
+        ("corpus", "dir", "", "corpus.dir"),
+        (None, "corpus", {"manifest": ""}, "corpus.manifest"),
     ], ids=["renormalize", "orders", "utterances", "frames", "noise-seed",
             "noise-concentration", "noise-missing-key", "noise-list", "noise-string",
             "hmm-path", "priors-path", "report-path", "dir-path", "manifest-path",
-            "odd-order", "hmm-missing", "dir-missing", "frames-length"])
+            "odd-order", "hmm-missing", "dir-missing", "frames-length", "utterances-zero",
+            "frames-reversed", "corpus-unknown-key", "noise-unknown-key",
+            "manifest-with-generation", "orders-empty", "orders-repeated", "hmm-empty",
+            "priors-empty", "report-empty", "dir-empty", "manifest-empty"])
     def test_config_values_are_not_coerced(self, tmp_path, demo_hmm, capsys,
                                            section, key, value, field):
         path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
@@ -441,6 +456,9 @@ class TestExperimentCommand:
         else:
             target[key] = value
         path.write_text(json.dumps(cfg))
+        if key == "utterances":
+            # The config is checked before the HMM is read: no HMM file, still exit 2.
+            demo_hmm.unlink()
         assert cli.main(["experiment", str(path)]) == cli.EXIT_VALIDATION
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
@@ -456,8 +474,12 @@ class TestExperimentCommand:
         assert cli.main(["experiment", str(path)]) == cli.EXIT_VALIDATION
         assert f"error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("seed", 4.7), ("concentration", "5")])
-    def test_manifest_noise_is_not_coerced(self, tmp_path, demo_hmm, capsys, key, value):
+    @pytest.mark.parametrize("key, value, field", [
+        ("seed", 4.7, "noise.seed"),
+        ("concentration", "5", "noise.concentration"),
+        ("scale", 2.0, "noise"),
+    ], ids=["seed-4.7", "concentration-5", "unknown-key"])
+    def test_manifest_noise_is_not_coerced(self, tmp_path, demo_hmm, capsys, key, value, field):
         corpus = tmp_path / "corpus"
         assert cli.main(["synth", "--hmm", str(demo_hmm), "--utterances", "2",
                          "--out", str(corpus)]) == 0
@@ -465,18 +487,23 @@ class TestExperimentCommand:
         manifest["noise"][key] = value
         (corpus / "manifest.json").write_text(json.dumps(manifest))
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"hmm": demo_hmm.name,
+        cfg.write_text(json.dumps({"hmm": demo_hmm.name, "report": "report.json",
                                    "corpus": {"manifest": "corpus/manifest.json"}}))
         assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"manifest.json: field 'noise.{key}'" in err
+        assert f"manifest.json: field '{field}'" in err
+        assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("utterances, field", [
-        (5, "utterances"),
-        ([{"id": 5, "posteriors": "u.post", "reference": "u.ref"}], "utterances[0].id"),
-        ([{"id": ["x"], "posteriors": "u.post", "reference": "u.ref"}], "utterances[0].id"),
-    ], ids=["count", "id-int", "id-list"])
-    def test_mistyped_manifest_entry(self, tmp_path, demo_hmm, capsys, utterances, field):
+    @pytest.mark.parametrize("utterances, message", [
+        (5, "field 'utterances' must be"),
+        ([{"id": 5, "posteriors": "u.post", "reference": "u.ref"}],
+         "field 'utterances[0].id' must be"),
+        ([{"id": ["x"], "posteriors": "u.post", "reference": "u.ref"}],
+         "field 'utterances[0].id' must be"),
+        ([{"id": "u", "posteriors": "u.post", "reference": "u.ref", "speaker": "x"}],
+         "field 'utterances[0]' has unknown fields ['speaker']"),
+    ], ids=["count", "id-int", "id-list", "unknown-key"])
+    def test_mistyped_manifest_entry(self, tmp_path, demo_hmm, capsys, utterances, message):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         write_posteriors(corpus / "u.post", [[0.5, 0.3, 0.2]])
@@ -484,10 +511,11 @@ class TestExperimentCommand:
         manifest = corpus / "manifest.json"
         manifest.write_text(json.dumps({"utterances": utterances}))
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"hmm": demo_hmm.name,
+        cfg.write_text(json.dumps({"hmm": demo_hmm.name, "report": "report.json",
                                    "corpus": {"manifest": "corpus/manifest.json"}}))
         assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
-        assert f"{manifest}: field '{field}' must be" in capsys.readouterr().err
+        assert f"{manifest}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_wrong_length_priors_name_file(self, tmp_path, demo_hmm, capsys):
         path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)

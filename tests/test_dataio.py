@@ -199,13 +199,13 @@ class TestHmmFormat:
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "h.json"
         p.write_text(json.dumps({"num_states": 1}))
-        with pytest.raises(DataFormatError, match="missing fields"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: field 'initial' is missing"):
             load_hmm(p)
 
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "h.json"
         p.write_text("[1, 2]")
-        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: HMM document must be"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: must be a JSON object"):
             load_hmm(p)
 
     @pytest.mark.parametrize("field, value", [
@@ -377,7 +377,14 @@ class TestManifest:
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / MANIFEST_NAME
         p.write_text("[]")
-        with pytest.raises(DataFormatError, match="manifest must be an object"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: must be a JSON object"):
+            load_manifest(p)
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        p = tmp_path / MANIFEST_NAME
+        p.write_text(json.dumps({"utterances": [], "speakers": []}))
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{p}: has unknown fields ['speakers']")):
             load_manifest(p)
 
     def test_paths_in_a_subdirectory_and_outside(self, tmp_path, rng):
@@ -424,8 +431,11 @@ class TestManifest:
         ([{"id": "u0", "posteriors": "u.post", "reference": None}], "utterances[0].reference"),
         ([{"id": "u0", "posteriors": "u.post", "reference": "u.ref"},
           {"id": "u1", "reference": "u.ref"}], "utterances[1].posteriors"),
+        ([{"id": "u0", "posteriors": "u.post", "reference": "u.ref", "speaker": "x"}],
+         "utterances[0]"),
+        ([{"id": "", "posteriors": "u.post", "reference": "u.ref"}], "utterances[0].id"),
     ], ids=["count", "object", "entry-string", "id-int", "id-list", "posteriors-int",
-            "reference-null", "posteriors-missing"])
+            "reference-null", "posteriors-missing", "entry-unknown-key", "id-empty"])
     def test_mistyped_entry_names_field(self, tmp_path, rng, utterances, field):
         save_posteriors(make_random_posteriors(rng, 1, 2), tmp_path / "u.post")
         save_transcript(("a",), tmp_path / "u.ref")
@@ -488,10 +498,10 @@ class TestGenerateCorpus:
             generate_corpus(hmm, 0, (1, 4), noise, tmp_path / "e")
 
     @pytest.mark.parametrize("num_utterances, frames_range, field", [
-        (2, (2.7, 3.2), "frames_range"),
-        (2, (3, True), "frames_range"),
-        (2.0, (3, 4), "num_utterances"),
-        (True, (3, 4), "num_utterances"),
+        (2, (2.7, 3.2), "frames"),
+        (2, (3, True), "frames"),
+        (2.0, (3, 4), "utterances"),
+        (True, (3, 4), "utterances"),
     ], ids=["fractional-frames", "bool-frames", "float-count", "bool-count"])
     def test_sizes_are_not_coerced(self, tmp_path, rng, num_utterances, frames_range, field):
         noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)

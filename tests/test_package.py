@@ -1,11 +1,12 @@
 """What the package and its modules export: every name exists, and no oracle ships."""
 
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
 import minkdecode
-from minkdecode import dataio, errors, minkowski
+from minkdecode import cli, dataio, errors, minkowski
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +51,21 @@ def test_readme_library_example_runs():
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_experiment_config_runs(tmp_path):
+    section = README.read_text(encoding="utf-8").split("\n### Experiment config\n", 1)[1]
+    config = json.loads(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+    config["corpus"]["utterances"] = 3  # a tiny corpus; every documented key stays
+    (tmp_path / config["hmm"]).write_text(json.dumps({
+        "num_states": 3,
+        "initial": [0.5, 0.3, 0.2],
+        "transitions": [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
+        "labels": ["red", "green", "blue"],
+        "state_to_class": [0, 1, 2],
+    }))
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["experiment", str(path)]) == cli.EXIT_OK
+    report = json.loads((tmp_path / config["report"]).read_text())
+    assert [row["order"] for row in report["orders"]] == config["orders"]
