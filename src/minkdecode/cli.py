@@ -10,14 +10,17 @@ Subcommands:
 * ``experiment`` - decode a corpus at several orders and compare WER
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
-This module only parses arguments and maps errors to exit codes; the work
-is done in `pipeline`. The argument parser is built once per process, on
-the first `main` call, and reused by every later in-process call. All
-numeric file output uses 17-significant-digit decimals, so identical inputs
-produce byte-identical outputs. Every file is written by
-`dataio.write_text`, which leaves a file that already holds those bytes
-untouched. Decode timings go to stderr only: report files must not vary
-between reruns.
+Each command checks its argument values before it reads any file. The
+commands load and write files through `dataio` and leave the rest to
+`pipeline`: `decode` loads the posterior file, HMM and priors and checks
+that they fit before decoding; `experiment` runs `pipeline.run_experiment`,
+writes the report file and prints the report as a table or as the
+document. The argument parser is built once per process, on the first
+`main` call, and reused by every later in-process call. All numeric file
+output uses 17-significant-digit decimals, so identical inputs produce
+byte-identical outputs. Every file is written by `dataio.write_text`,
+which leaves a file that already holds those bytes untouched. Decode
+timings go to stderr only: report files must not vary between reruns.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 
 from . import dataio, pipeline
 from .errors import ValidationError
+from .minkowski import LossOrder
 from .posteriors import transform_matrix
 from .scoring import align_and_score
 
@@ -39,8 +43,9 @@ EXIT_IO = 3
 
 
 def cmd_transform(args) -> int:
+    order = LossOrder(args.order).value
     matrix = dataio.load_posteriors(args.input)
-    out = transform_matrix(matrix, args.order)
+    out = transform_matrix(matrix, order)
     dataio.save_posteriors(out, args.out)
     return EXIT_OK
 
@@ -55,13 +60,12 @@ def cmd_curves(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    order = LossOrder(args.order).value
     matrix = dataio.load_posteriors(args.posteriors)
     hmm = dataio.load_hmm(args.hmm)
-    priors = None
-    if args.priors:
-        priors = dataio.load_priors(args.priors)
-        pipeline.check_priors(priors, matrix.classes, args.priors)
-    tokens = pipeline.decode_tokens(matrix, hmm, args.order, args.renormalize == "on", priors)
+    priors = dataio.load_priors(args.priors) if args.priors else None
+    pipeline.check_posterior_fit(matrix, args.posteriors, hmm, priors, args.priors)
+    tokens = pipeline.decode_tokens(matrix, hmm, order, args.renormalize == "on", priors)
     dataio.save_transcript(tokens, args.out)
     return EXIT_OK
 
@@ -78,11 +82,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    hmm = dataio.load_hmm(args.hmm)
     noise = dataio.NoiseSpec(args.concentration, args.confusion_rate, args.seed)
-    dataio.generate_corpus(
-        hmm, args.utterances, pipeline.parse_frames(args.frames), noise, args.out
-    )
+    frames = pipeline.parse_frames(args.frames)
+    dataio.check_corpus_size(args.utterances, frames)  # before the HMM is read
+    hmm = dataio.load_hmm(args.hmm)
+    dataio.generate_corpus(hmm, args.utterances, frames, noise, args.out)
     print(Path(args.out) / dataio.MANIFEST_NAME)
     return EXIT_OK
 
@@ -90,16 +94,16 @@ def cmd_synth(args) -> int:
 def cmd_experiment(args) -> int:
     config_path = Path(args.config)
     config = pipeline.read_config(dataio.load_json(config_path))
-    report = pipeline.run_experiment(config, config_path.parent)
-    for r in report.results:
-        print(f"order {r.order}: decoded in {r.decode_seconds:.3f}s", file=sys.stderr)
-    doc = pipeline.report_document(report)
+    doc, seconds = pipeline.run_experiment(config, config_path.parent)
+    for order, elapsed in zip(config.orders, seconds):
+        print(f"order {order}: decoded in {elapsed:.3f}s", file=sys.stderr)
+    text = pipeline.report_document(doc)
     if config.report is not None:
-        dataio.write_text(config_path.parent / config.report, doc)
+        dataio.write_text(config_path.parent / config.report, text)
     if args.format == "machine":
-        sys.stdout.write(doc)
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(pipeline.report_table(report))
+        sys.stdout.write(pipeline.report_table(doc))
     return EXIT_OK
 
 

@@ -75,7 +75,6 @@ __all__ = [
     "load_posteriors",
     "save_posteriors",
     "load_hmm",
-    "save_hmm",
     "load_transcript",
     "save_transcript",
     "load_priors",
@@ -300,17 +299,6 @@ def _numbers(doc: dict, name: str) -> np.ndarray:
     if arr is None or arr.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must hold only numbers, got {doc[name]!r}")
     return arr.astype(np.float64, copy=False)
-
-
-def save_hmm(hmm: HmmModel, path) -> None:
-    doc = {
-        "num_states": hmm.num_states,
-        "initial": [float(p) for p in np.exp(hmm.log_initial)],
-        "transitions": [[float(p) for p in row] for row in np.exp(hmm.log_transitions)],
-        "labels": list(hmm.state_labels),
-        "state_to_class": [int(c) for c in hmm.state_to_class],
-    }
-    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

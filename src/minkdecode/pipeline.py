@@ -1,13 +1,15 @@
 """The decode pipeline behind the CLI: experiments, reports and curve charts.
 
 `decode_tokens` is the single-file path: transform, log scores, Viterbi;
-`check_priors` refuses priors of the wrong length and `load_reference` an
-empty reference, each naming its file.
-`read_config` checks an experiment config and `run_experiment` pools its
-WER per order; `report_document` serializes the result byte-reproducibly
-(decode timings stay out of it), and `report_table` renders it for a terminal.
-`curve_table`, `curves_text` and `curves_svg` tabulate and chart the
-transform over a uniform posterior grid.
+`check_posterior_fit` refuses a posterior file that does not fit its HMM or
+priors and `load_reference` an empty reference, each naming the file at fault.
+`read_config` checks an experiment config, and `run_experiment` decodes the
+corpus at each order and returns the report document: the config echo and
+each order's pooled WER and reduction against order 2. Each order's decode
+seconds are returned beside it, never in it. `report_document` serializes
+the document byte-reproducibly and `report_table` renders its rows for a
+terminal. `curve_table`, `curves_text` and `curves_svg` tabulate and chart
+the transform over a uniform posterior grid.
 """
 
 from __future__ import annotations
@@ -41,14 +43,24 @@ def decode_tokens(matrix: PosteriorMatrix, hmm: HmmModel, order: int,
     return viterbi_decode(logs, hmm).token_sequence
 
 
-def check_priors(priors: np.ndarray, classes: int, path) -> None:
-    """Refuse priors without one entry per class, naming the priors file `path`.
+def check_posterior_fit(matrix: PosteriorMatrix, path, hmm: HmmModel,
+                        priors, priors_path) -> None:
+    """Refuse a posterior file that does not fit its HMM or its priors, naming the file at fault.
 
-    `to_log_scores` refuses them too, but cannot name the file.
+    Every `state_to_class` column must be one of the matrix's classes (the
+    message names the posterior file `path`), and priors, when not None,
+    must have one entry per class (the message names `priors_path`).
+    `viterbi_decode` and `to_log_scores` refuse both too, but cannot name
+    the files.
     """
-    if priors.shape != (classes,):
+    column = int(hmm.state_to_class.max())
+    if column >= matrix.classes:
+        raise DataFormatError(path, None, f"state_to_class refers to column {column} "
+                              f"but the posterior matrix has {matrix.classes} classes")
+    if priors is not None and priors.shape != (matrix.classes,):
         raise DataFormatError(
-            path, None, f"priors must have one entry per class ({classes}), got {priors.size}"
+            priors_path, None,
+            f"priors must have one entry per class ({matrix.classes}), got {priors.size}"
         )
 
 
@@ -93,26 +105,6 @@ def parse_frames(text: str) -> tuple[int, int]:
     if len(bounds) not in (1, 2):
         raise ValidationError(f"frames must be 'N' or 'LO:HI', got {text!r}")
     return dataio.check_corpus_size(1, (bounds[0], bounds[-1]), frames_name="frames range")
-
-
-@dataclass(frozen=True)
-class OrderResult:
-    order: int
-    report: WerReport
-    decode_seconds: float
-    relative_reduction_vs_order2: float | None
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Per-order pooled WER over one corpus, plus the configuration echo.
-
-    decode_seconds is wall-clock and intentionally excluded from the
-    serialized document so reruns stay byte-identical.
-    """
-
-    results: tuple[OrderResult, ...]
-    config_echo: dict
 
 
 @dataclass(frozen=True)
@@ -167,18 +159,22 @@ def read_config(doc) -> ExperimentConfig:
         raise ValidationError(f"config {exc}") from None
 
 
-def run_experiment(config: ExperimentConfig, base_dir: Path) -> ExperimentReport:
-    """Decode one corpus at every configured order and pool WER per order.
+def run_experiment(config: ExperimentConfig, base_dir: Path) -> tuple[dict, list[float]]:
+    """Decode one corpus at every configured order; the report document and each order's seconds.
 
-    The same loaded posterior matrices are reused for every order, so the
-    transform is the only varying factor. Relative reduction is computed
-    against the order-2 result when present. Every reference and the priors
-    are checked before anything is decoded.
+    The document holds the config echo and, for each order in config order,
+    its pooled WER (`wer_json`) and relative reduction against the order-2
+    WER, None for order 2 itself or when order 2 is not configured. The
+    decode seconds stay out of it, so reruns write identical bytes. The same
+    loaded posterior matrices are reused for every order, so the transform
+    is the only varying factor. Every reference and every posterior file's
+    fit to the HMM and priors are checked before anything is decoded.
     """
     hmm = dataio.load_hmm(base_dir / config.hmm)
-    priors = None
+    priors = priors_path = None
     if config.priors is not None:
-        priors = dataio.load_priors(base_dir / config.priors)
+        priors_path = base_dir / config.priors
+        priors = dataio.load_priors(priors_path)
     if config.generate is None:
         manifest = dataio.load_manifest(base_dir / config.manifest)
     else:
@@ -189,56 +185,43 @@ def run_experiment(config: ExperimentConfig, base_dir: Path) -> ExperimentReport
         (dataio.load_posteriors(u.posteriors_path), load_reference(u.reference_path))
         for u in manifest.utterances
     ]
-    if priors is not None:
-        for matrix, _ in loaded:
-            check_priors(priors, matrix.classes, base_dir / config.priors)
-    results = []
-    order2_wer: float | None = None
+    for u, (matrix, _) in zip(manifest.utterances, loaded):
+        check_posterior_fit(matrix, u.posteriors_path, hmm, priors, priors_path)
+    entries = []
+    seconds = []
     for order in config.orders:
         start = time.perf_counter()
         pairs = [
             (ref, decode_tokens(matrix, hmm, order, config.renormalize, priors))
             for matrix, ref in loaded
         ]
-        elapsed = time.perf_counter() - start
-        rep = corpus_wer(pairs)
-        if order == 2:
-            order2_wer = rep.wer
-        results.append((order, rep, elapsed))
+        seconds.append(time.perf_counter() - start)
+        entries.append({"order": order, **wer_json(corpus_wer(pairs))})
 
-    out = []
-    for order, rep, elapsed in results:
+    order2_wer = next((e["wer"] for e in entries if e["order"] == 2), None)
+    for e in entries:
         reduction = None
-        if order != 2 and order2_wer is not None:
-            reduction = 0.0 if order2_wer == 0.0 else (order2_wer - rep.wer) / order2_wer
-        out.append(OrderResult(order, rep, elapsed, reduction))
+        if e["order"] != 2 and order2_wer is not None:
+            reduction = 0.0 if order2_wer == 0.0 else (order2_wer - e["wer"]) / order2_wer
+        e["relative_reduction_vs_order2"] = reduction
     echo = {k: getattr(config, k) for k in ("hmm", "orders", "renormalize", "priors", "corpus")}
-    return ExperimentReport(tuple(out), echo)
+    return {"config": echo, "orders": entries}, seconds
 
 
-def report_document(report: ExperimentReport) -> str:
-    doc = {
-        "config": report.config_echo,
-        "orders": [
-            {
-                "order": r.order,
-                **wer_json(r.report),
-                "relative_reduction_vs_order2": r.relative_reduction_vs_order2,
-            }
-            for r in report.results
-        ],
-    }
+def report_document(doc: dict) -> str:
+    """The report document as JSON text with sorted keys, byte-reproducible."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def report_table(report: ExperimentReport) -> str:
+def report_table(doc: dict) -> str:
+    """The report document's per-order rows as a terminal table."""
     lines = [f"{'order':>5}  {'WER':>9}  {'S':>5} {'D':>5} {'I':>5}  {'ref':>6}  {'vs order 2':>11}"]
-    for r in report.results:
-        red = "-" if r.relative_reduction_vs_order2 is None else f"{100 * r.relative_reduction_vs_order2:+.3f}%"
-        rep = r.report
+    for e in doc["orders"]:
+        reduction = e["relative_reduction_vs_order2"]
+        red = "-" if reduction is None else f"{100 * reduction:+.3f}%"
         lines.append(
-            f"{r.order:>5}  {rep.wer:>9.6f}  {rep.substitutions:>5} {rep.deletions:>5} "
-            f"{rep.insertions:>5}  {rep.ref_length:>6}  {red:>11}"
+            f"{e['order']:>5}  {e['wer']:>9.6f}  {e['substitutions']:>5} {e['deletions']:>5} "
+            f"{e['insertions']:>5}  {e['ref_length']:>6}  {red:>11}"
         )
     return "\n".join(lines) + "\n"
 

@@ -534,6 +534,38 @@ class TestExperimentCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [entry["order"] for entry in doc["orders"]] == [2, 4]
 
+    @pytest.mark.parametrize("orders, concentration, confusion, baseline", [
+        ((6, 2), 5.0, 0.3, "nonzero"),
+        ((4,), 5.0, 0.3, "absent"),
+        ((4, 2), math.inf, 0.0, "zero"),
+    ], ids=["orders-6-2", "order-4", "wer0-baseline"])
+    def test_table_rows_match_document(self, tmp_path, demo_hmm, capsys,
+                                       orders, concentration, confusion, baseline):
+        cfg = experiment_config(tmp_path, demo_hmm, concentration, confusion, 11, orders=orders)
+        assert cli.main(["experiment", str(cfg), "--format", "machine"]) == 0
+        entries = json.loads(capsys.readouterr().out)["orders"]
+        assert cli.main(["experiment", str(cfg)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["order", "WER", "S", "D", "I", "ref", "vs", "order", "2"]
+        assert [entry["order"] for entry in entries] == list(orders)
+        assert len(rows) == len(entries)
+        wer2 = {entry["order"]: entry["wer"] for entry in entries}.get(2)
+        assert {"nonzero": wer2 is not None and wer2 > 0.0, "absent": wer2 is None,
+                "zero": wer2 == 0.0}[baseline]
+        for row, entry in zip(rows, entries):
+            order, wer, subs, dels, ins, ref, vs = row.split()
+            assert (int(order), wer, int(subs), int(dels), int(ins), int(ref)) == (
+                entry["order"], f"{entry['wer']:.6f}", entry["substitutions"],
+                entry["deletions"], entry["insertions"], entry["ref_length"])
+            reduction = entry["relative_reduction_vs_order2"]
+            if entry["order"] == 2 or wer2 is None:
+                assert (vs, reduction) == ("-", None)
+            elif wer2 == 0.0:
+                assert (vs, reduction) == ("+0.000%", 0.0)
+            else:
+                assert vs == f"{100 * reduction:+.3f}%"
+                assert reduction == (wer2 - entry["wer"]) / wer2
+
     def test_rerun_leaves_identical_outputs_untouched(self, tmp_path, demo_hmm):
         old_ns = 1_000_000_000  # an mtime no write made during the test can have
         cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
@@ -566,6 +598,59 @@ class TestExperimentCommand:
 
         assert written(tmp_path) == written(fresh)
         assert (tmp_path / "report.json").read_bytes() != report
+
+
+ODD_ORDER = "order 3 is odd: its expected-loss gradient has complex roots"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["transform", "in.post", "--order", "3", "--out", "o.post"], ODD_ORDER),
+    (["decode", "in.post", "--hmm", "hmm.json", "--order", "3", "--out", "h"], ODD_ORDER),
+    (["synth", "--frames", "5:2"], "frames range must satisfy 1 <= lo <= hi, got (5, 2)"),
+    (["synth", "--utterances", "0"], "field 'utterances' must be >= 1, got 0"),
+    (["synth", "--concentration", "-1"], "field 'noise.concentration' must be > 0, got -1.0"),
+    (["synth", "--confusion-rate", "2"], "field 'noise.confusion_rate' must be in [0, 1], got 2.0"),
+    (["synth", "--seed", "-1"], "field 'noise.seed' must fit in 64 bits"),
+], ids=["transform-order", "decode-order", "synth-frames", "synth-utterances",
+        "synth-concentration", "synth-confusion-rate", "synth-seed"])
+def test_argument_values_checked_before_files_are_read(tmp_path, capsys, monkeypatch,
+                                                       argv, reason):
+    # None of the named input files exists: reading one first would exit 3.
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "synth":
+        argv = argv + ["--hmm", "hmm.json", "--out", "corpus"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"error: {reason}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["decode", "experiment"])
+def test_hmm_column_beyond_posteriors_names_file(tmp_path, demo_hmm, capsys, monkeypatch,
+                                                 command):
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--hmm", str(demo_hmm), "--utterances", "2",
+                     "--out", str(corpus)]) == 0
+    hmm = tmp_path / "wide.json"
+    doc = json.loads(demo_hmm.read_text())
+    doc["state_to_class"] = [0, 1, 3]
+    hmm.write_text(json.dumps(doc))
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"hmm": hmm.name, "report": "report.json",
+                               "corpus": {"manifest": "corpus/manifest.json"}}))
+    post = corpus / "utt0000.post"
+    argv = {
+        "decode": ["decode", str(post), "--hmm", str(hmm), "--out", str(tmp_path / "hyp.txt")],
+        "experiment": ["experiment", str(cfg)],
+    }[command]
+    decoded = []
+    monkeypatch.setattr(pipeline, "decode_tokens", lambda *args: decoded.append(args))
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert (f"error: {post}: state_to_class refers to column 3 but the posterior matrix "
+            "has 3 classes") in capsys.readouterr().err
+    assert decoded == []
+    assert not (tmp_path / "hyp.txt").exists()
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["hmm", "manifest", "config"])

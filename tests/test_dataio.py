@@ -31,7 +31,6 @@ from minkdecode.dataio import (
     load_posteriors,
     load_priors,
     load_transcript,
-    save_hmm,
     save_manifest,
     save_posteriors,
     save_transcript,
@@ -228,16 +227,6 @@ class TestHmmFormat:
         p.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: {field} must"):
             load_hmm(p)
-
-    def test_round_trip(self, tmp_path, rng):
-        hmm = make_random_hmm(rng, 4)
-        p = tmp_path / "h.json"
-        save_hmm(hmm, p)
-        again = load_hmm(p)
-        assert np.all(np.abs(again.log_initial - hmm.log_initial) <= 1e-12)
-        assert np.all(np.abs(again.log_transitions - hmm.log_transitions) <= 1e-12)
-        assert again.state_labels == hmm.state_labels
-        assert np.array_equal(again.state_to_class, hmm.state_to_class)
 
 
 class TestTranscripts:
