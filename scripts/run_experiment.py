@@ -62,7 +62,6 @@ def main() -> int:
     config = {
         "hmm": "hmm.json",
         "orders": [2, 4, 6],
-        "renormalize": True,
         "corpus": {
             "dir": "corpus",
             "utterances": args.utterances,

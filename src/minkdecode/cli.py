@@ -4,7 +4,7 @@ Subcommands:
 
 * ``transform``  - apply an order-n transform to a posterior file, rows renormalized
 * ``curves``     - tabulate (and optionally chart) transform curves
-* ``decode``     - transform + Viterbi-decode one posterior file
+* ``decode``     - transform (rows renormalized) + Viterbi-decode one posterior file
 * ``score``      - WER between a reference and a hypothesis transcript
 * ``synth``      - generate a seeded synthetic corpus
 * ``experiment`` - decode a corpus at several orders and compare WER
@@ -65,7 +65,7 @@ def cmd_decode(args) -> int:
     hmm = dataio.load_hmm(args.hmm)
     priors = dataio.load_priors(args.priors) if args.priors else None
     pipeline.check_posterior_fit(matrix, args.posteriors, hmm, priors, args.priors)
-    tokens = pipeline.decode_tokens(matrix, hmm, order, args.renormalize == "on", priors)
+    tokens = pipeline.decode_tokens(matrix, hmm, order, priors)
     dataio.save_transcript(tokens, args.out)
     return EXIT_OK
 
@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("posteriors")
     p.add_argument("--hmm", required=True)
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--renormalize", choices=("on", "off"), default="on")
     p.add_argument("--priors", help="divide posteriors by these class priors")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)

@@ -15,7 +15,8 @@ save -> load round-trips are exact):
   reference files (all non-empty strings), plus the generator seed and
   noise parameters. Unknown keys are rejected.
 
-`write_text` is the one writer for every file the program writes. A
+`read_text` is the one reader for every text file the program reads, and
+`write_text` the one writer for every file the program writes. A
 regular file that already holds exactly the bytes to be written is left
 untouched: a rerun with the same inputs keeps the file's inode and mtime,
 and an identical read-only file is not an error. Any other target (missing,
@@ -53,14 +54,14 @@ import numbers
 import os
 import stat
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path, PurePath
+from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
 from .decoder import HmmModel, collapse_tokens
 from .errors import DataFormatError, ValidationError
-from .posteriors import ROW_SUM_TOLERANCE, PosteriorMatrix, check_row_sums
+from .posteriors import ROW_SUM_TOLERANCE, PosteriorMatrix, check_row_sums, numeric_array
 
 __all__ = [
     "NoiseSpec",
@@ -68,6 +69,7 @@ __all__ = [
     "CorpusManifest",
     "splitmix64_doubles",
     "format_float",
+    "read_text",
     "write_text",
     "json_field",
     "json_object",
@@ -79,12 +81,23 @@ __all__ = [
     "save_transcript",
     "load_priors",
     "load_manifest",
-    "save_manifest",
     "check_corpus_size",
     "generate_corpus",
 ]
 
 MANIFEST_NAME = "manifest.json"
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, newlines as they are.
+
+    A byte that is not UTF-8 is a DataFormatError at line 1 + the newlines before it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
 
 
 def write_text(path, text: str) -> None:
@@ -128,7 +141,7 @@ def load_posteriors(path) -> PosteriorMatrix:
     fails, `_raise_first_bad_line` walks the file to name the bad line.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(path, 1, "empty file; expected a 'frames classes' header")
     header = lines[0].split()
@@ -225,7 +238,7 @@ def save_posteriors(matrix: PosteriorMatrix, path) -> None:
 def load_json(path: Path):
     """The JSON document in the file at path; a syntax error names its line."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
 
@@ -275,8 +288,7 @@ def load_hmm(path) -> HmmModel:
         n = doc["num_states"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValidationError(f"num_states must be a positive integer, got {n!r}")
-        init = _numbers(doc, "initial")
-        trans = _numbers(doc, "transitions")
+        init = numeric_array(doc["initial"], "initial")
         if init.shape != (n,):
             raise ValidationError(f"initial must have {n} entries, got shape {init.shape}")
         labels = doc["labels"]
@@ -285,20 +297,9 @@ def load_hmm(path) -> HmmModel:
             raise ValidationError(f"labels must be a list of strings, got {labels!r}")
         if not isinstance(s2c, list):
             raise ValidationError(f"state_to_class must be a list, got {s2c!r}")
-        return HmmModel.from_probs(init, trans, labels, s2c)
+        return HmmModel.from_probs(init, doc["transitions"], labels, s2c)
     except ValidationError as exc:
         raise DataFormatError(path, None, str(exc)) from None
-
-
-def _numbers(doc: dict, name: str) -> np.ndarray:
-    """The HMM field `name` as a float64 array; strings and ragged nesting are refused."""
-    try:
-        arr = np.asarray(doc[name])
-    except ValueError:  # ragged nested lists
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} must hold only numbers, got {doc[name]!r}")
-    return arr.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +307,7 @@ def _numbers(doc: dict, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def load_transcript(path) -> tuple[str, ...]:
-    path = Path(path)
-    tokens = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    tokens = [ln.strip() for ln in read_text(path).splitlines()]
     return tuple(tok for tok in tokens if tok)
 
 
@@ -316,8 +316,7 @@ def save_transcript(tokens, path) -> None:
 
 
 def load_priors(path) -> np.ndarray:
-    path = Path(path)
-    tokens = path.read_text(encoding="utf-8").split()
+    tokens = read_text(path).split()
     if not tokens:
         raise DataFormatError(path, 1, "empty priors file")
     try:
@@ -389,37 +388,6 @@ class CorpusManifest:
         ids = [u.utterance_id for u in self.utterances]
         if len(set(ids)) != len(ids):
             raise ValidationError("utterance ids must be unique")
-
-
-def save_manifest(manifest: CorpusManifest, path) -> None:
-    path = Path(path)
-    base = path.parent
-    doc: dict = {}
-    if manifest.noise is not None:
-        doc["noise"] = asdict(manifest.noise)
-    doc["utterances"] = [
-        {
-            "id": u.utterance_id,
-            "posteriors": _relative_to(u.posteriors_path, base),
-            "reference": _relative_to(u.reference_path, base),
-        }
-        for u in manifest.utterances
-    ]
-    write_text(path, json.dumps(doc, indent=2) + "\n")
-
-
-def _relative_to(p, base: Path) -> str:
-    """p relative to base in POSIX form, or all of p when it lies outside base.
-
-    A file directly under base, as `generate_corpus` writes them, is its own
-    name; comparing parents parses no path text and caches none on p.
-    """
-    if isinstance(p, PurePath) and p.name and p.parent == base:
-        return p.name
-    try:
-        return Path(p).relative_to(base).as_posix()
-    except ValueError:
-        return Path(p).as_posix()
 
 
 def load_manifest(path) -> CorpusManifest:
@@ -529,7 +497,7 @@ def generate_corpus(
     noise: NoiseSpec,
     out_dir,
 ) -> CorpusManifest:
-    """Write a synthetic corpus under out_dir and return its manifest.
+    """Write a synthetic corpus and its manifest file under out_dir and return the manifest.
 
     Each utterance samples a state path from the HMM, takes the collapsed
     labels as the reference transcript, and emits per-frame posterior rows
@@ -589,6 +557,9 @@ def generate_corpus(
             save_posteriors(PosteriorMatrix(rows[start:end]), post_path)
             save_transcript(reference, ref_path)
             utts.append(CorpusUtterance(uid, post_path, ref_path))
-    manifest = CorpusManifest(tuple(utts), noise)
-    save_manifest(manifest, out_dir / MANIFEST_NAME)
-    return manifest
+    # Every file lies beside the manifest, so its name is its path from there.
+    entries = [{"id": u.utterance_id, "posteriors": u.posteriors_path.name,
+                "reference": u.reference_path.name} for u in utts]
+    doc = {"noise": asdict(noise), "utterances": entries}
+    write_text(out_dir / MANIFEST_NAME, json.dumps(doc, indent=2) + "\n")
+    return CorpusManifest(tuple(utts), noise)

@@ -7,8 +7,9 @@ and paths become results through `_result`. The test suite's oracle, which
 scores every state path outright (`tests/oracles.py`), uses those two
 helpers too, so it and the DP differ only in how they search.
 
-`HmmModel` owns the model's invariants (string labels, one label and class
-per state, distributions summing to 1 by `posteriors.check_row_sums`);
+`HmmModel` owns the model's invariants (labels a transcript can hold, one
+label and class per state, distributions summing to 1 by
+`posteriors.check_row_sums`);
 `dataio.load_hmm` checks only the file's JSON types and `num_states`.
 """
 
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .posteriors import LogScoreMatrix, check_row_sums, floored_log
+from .posteriors import LogScoreMatrix, check_row_sums, floored_log, numeric_array
 
 __all__ = [
     "HmmModel",
@@ -36,9 +37,10 @@ class HmmModel:
 
     `state_labels[s]` is the output token of state s; `state_to_class[s]`
     is the posterior-matrix column that scores it. Labels must be a
-    sequence of strings (one string is refused, not split into characters);
-    nothing is converted to one. exp(log_initial) and each exp(transition
-    row) must sum to 1 within 1e-6 (`check_row_sums`). A zero probability
+    sequence of strings (one string is refused, not split into characters),
+    each one `str.splitlines()` line equal to its `strip()`, as a transcript
+    file holds a token; nothing is converted to one. exp(log_initial) and
+    each exp(transition row) must sum to 1 within 1e-6 (`check_row_sums`). A zero probability
     has one encoding, LOG_FLOOR: every entry must be finite, so -inf is
     refused like NaN and +inf.
     """
@@ -49,14 +51,18 @@ class HmmModel:
     state_to_class: np.ndarray
 
     def __post_init__(self):
-        init = np.asarray(self.log_initial, dtype=np.float64)
-        trans = np.asarray(self.log_transitions, dtype=np.float64)
+        init = numeric_array(self.log_initial, "log_initial")
+        trans = numeric_array(self.log_transitions, "log_transitions")
         s2c = _class_indices(self.state_to_class)
         labels = tuple(self.state_labels)
         # One string is a sequence of strings too, but never the labels meant.
-        if isinstance(self.state_labels, str) or not all(isinstance(lab, str) for lab in labels):
+        # "" is no line at all, and `dataio.load_transcript` strips each line.
+        if isinstance(self.state_labels, str) or not all(
+                isinstance(lab, str) and len(lab.splitlines()) == 1 and lab == lab.strip()
+                for lab in labels):
             raise ValidationError(
-                f"labels must be strings, one per state; got {self.state_labels!r}"
+                "labels must be strings, one per state, each one line without surrounding "
+                f"whitespace; got {self.state_labels!r}"
             )
         if init.ndim != 1:
             raise ValidationError("log_initial must be a vector")
@@ -102,8 +108,8 @@ class HmmModel:
     @classmethod
     def from_probs(cls, initial, transitions, labels, state_to_class) -> "HmmModel":
         """Build from linear probabilities; `floored_log` maps each zero to LOG_FLOOR."""
-        init = np.asarray(initial, dtype=np.float64)
-        trans = np.asarray(transitions, dtype=np.float64)
+        init = numeric_array(initial, "initial")
+        trans = numeric_array(transitions, "transitions")
         if (init < 0).any() or (trans < 0).any():
             raise ValidationError("probabilities must be nonnegative")
         return cls(floored_log(init), floored_log(trans), labels, state_to_class)

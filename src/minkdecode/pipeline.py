@@ -35,11 +35,9 @@ DEFAULT_ORDERS = (2, 4, 6)
 # decoding and WER
 # ---------------------------------------------------------------------------
 
-def decode_tokens(matrix: PosteriorMatrix, hmm: HmmModel, order: int,
-                  renormalize: bool, priors) -> tuple[str, ...]:
+def decode_tokens(matrix: PosteriorMatrix, hmm: HmmModel, order: int, priors) -> tuple[str, ...]:
     """Token sequence decoded from one posterior matrix at one order."""
-    transformed = transform_matrix(matrix, order, renormalize=renormalize)
-    logs = to_log_scores(transformed, priors)
+    logs = to_log_scores(transform_matrix(matrix, order), priors)
     return viterbi_decode(logs, hmm).token_sequence
 
 
@@ -113,7 +111,6 @@ class ExperimentConfig:
 
     hmm: str
     orders: tuple[int, ...]
-    renormalize: bool
     priors: str | None
     report: str | None
     corpus: dict  # as written, for the report's echo
@@ -127,6 +124,7 @@ def read_config(doc) -> ExperimentConfig:
 
     Orders must pass `LossOrder`, the one order validator, and the corpus
     sizes `dataio.check_corpus_size`. Messages start with 'config'.
+    'renormalize' may only be true: rows are always rescaled.
     """
     field = dataio.json_field
     try:
@@ -142,7 +140,8 @@ def read_config(doc) -> ExperimentConfig:
             raise ValidationError(f"field 'orders': {exc}") from None
         if not orders or len(set(orders)) != len(orders):
             raise ValidationError(f"field 'orders' must be non-empty and distinct, got {list(orders)}")
-        renormalize = field(doc.get("renormalize", True), bool, "renormalize")
+        if doc.get("renormalize", True) is not True:
+            raise ValidationError(f"field 'renormalize' must be true, got {doc['renormalize']!r}")
         corpus = doc["corpus"]
         manifest = generate = None
         if isinstance(corpus, dict) and "manifest" in corpus:
@@ -154,7 +153,7 @@ def read_config(doc) -> ExperimentConfig:
             frames = dataio.check_corpus_size(corpus["utterances"], corpus["frames"])
             noise = dataio.NoiseSpec.from_json(corpus["noise"])
             generate = (corpus["utterances"], frames, noise, out_dir)
-        return ExperimentConfig(hmm, orders, renormalize, priors, report, corpus, manifest, generate)
+        return ExperimentConfig(hmm, orders, priors, report, corpus, manifest, generate)
     except ValidationError as exc:
         raise ValidationError(f"config {exc}") from None
 
@@ -164,7 +163,8 @@ def run_experiment(config: ExperimentConfig, base_dir: Path) -> tuple[dict, list
 
     The document holds the config echo and, for each order in config order,
     its pooled WER (`wer_json`) and relative reduction against the order-2
-    WER, None for order 2 itself or when order 2 is not configured. The
+    WER: None for order 2 itself, without order 2, or when only order 2 has
+    WER 0 (no finite ratio). The echo's 'renormalize' is always true. The
     decode seconds stay out of it, so reruns write identical bytes. The same
     loaded posterior matrices are reused for every order, so the transform
     is the only varying factor. Every reference and every posterior file's
@@ -192,7 +192,7 @@ def run_experiment(config: ExperimentConfig, base_dir: Path) -> tuple[dict, list
     for order in config.orders:
         start = time.perf_counter()
         pairs = [
-            (ref, decode_tokens(matrix, hmm, order, config.renormalize, priors))
+            (ref, decode_tokens(matrix, hmm, order, priors))
             for matrix, ref in loaded
         ]
         seconds.append(time.perf_counter() - start)
@@ -202,10 +202,13 @@ def run_experiment(config: ExperimentConfig, base_dir: Path) -> tuple[dict, list
     for e in entries:
         reduction = None
         if e["order"] != 2 and order2_wer is not None:
-            reduction = 0.0 if order2_wer == 0.0 else (order2_wer - e["wer"]) / order2_wer
+            if order2_wer != 0.0:
+                reduction = (order2_wer - e["wer"]) / order2_wer
+            elif e["wer"] == 0.0:
+                reduction = 0.0
         e["relative_reduction_vs_order2"] = reduction
-    echo = {k: getattr(config, k) for k in ("hmm", "orders", "renormalize", "priors", "corpus")}
-    return {"config": echo, "orders": entries}, seconds
+    echo = {k: getattr(config, k) for k in ("hmm", "orders", "priors", "corpus")}
+    return {"config": {**echo, "renormalize": True}, "orders": entries}, seconds
 
 
 def report_document(doc: dict) -> str:

@@ -2,17 +2,18 @@
 
 A posterior matrix holds one row per frame and one column per class, each
 entry a probability. The order-n transform is applied entrywise (each class
-posterior is treated as an independent binary target), optionally followed
-by row renormalization in `transform_matrix`, the one place rows are
+posterior is treated as an independent binary target), then each row is
+rescaled to sum to 1 in `transform_matrix`, the one place rows are
 rescaled. Because the scalar transform is strictly increasing, neither step
-can change a row's argmax or its full sort order; renormalization only
+can change a row's argmax or its full sort order; the rescaling only
 shifts that frame's log-scores by a constant, which the Viterbi path is
 invariant to.
 
 Both matrix types check their shape and entries in one shared base (one
-pass over the entries: in [0, 1] for posteriors, finite for log scores);
-`check_row_sums` is the one row-sum check and `floored_log` the one log
-with exact zeros at LOG_FLOOR, both also used by `HmmModel`.
+pass over the entries: in [0, 1] for posteriors, finite for log scores).
+`numeric_array` is the one rule for what counts as an array of numbers,
+`check_row_sums` the one row-sum check and `floored_log` the one log
+with exact zeros at LOG_FLOOR, all also used by `HmmModel`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class _Matrix:
     _RULE = "finite"
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        arr = np.array(numeric_array(self.values, self._KIND))
         if arr.ndim != 2:
             raise ValidationError(f"{self._KIND} must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 2:
@@ -77,13 +78,7 @@ class _Matrix:
 
 
 class PosteriorMatrix(_Matrix):
-    """frames x classes matrix of per-frame class posteriors.
-
-    Entries are validated to lie in [0, 1]. Rows sum to 1 when the matrix
-    comes from `dataio.load_posteriors` or a renormalizing
-    `transform_matrix`; a transform with renormalization off may break the
-    row sums without invalidating the entries.
-    """
+    """frames x classes matrix of per-frame class posteriors, each in [0, 1]."""
 
     _KIND = "posterior matrix"
     _RULE = "in [0, 1]"
@@ -104,22 +99,20 @@ class LogScoreMatrix(_Matrix):
     _KIND = "log-score matrix"
 
 
-def transform_matrix(p: PosteriorMatrix, order, renormalize: bool = True) -> PosteriorMatrix:
-    """Apply the order-n transform to every entry of a posterior matrix.
+def transform_matrix(p: PosteriorMatrix, order) -> PosteriorMatrix:
+    """Apply the order-n transform to every entry of a posterior matrix, then rescale each row.
 
-    Order 2 returns an identical matrix. With `renormalize` each row is
-    rescaled to sum to 1 afterwards; this divides the row by a positive
-    constant and cannot change the decoded path, only score magnitudes. A
-    row that sums to zero cannot be rescaled and is refused.
+    Each row is divided by its sum so that it sums to 1; dividing by a
+    positive constant cannot change the decoded path, only score
+    magnitudes. A row that sums to zero cannot be rescaled and is refused.
+    `transform_values` is the unscaled kernel.
     """
     out = transform_values(p.values, order)
-    if renormalize:
-        sums = out.sum(axis=1)
-        zero_rows = np.flatnonzero(sums <= 0.0)
-        if zero_rows.size:
-            raise ValidationError(f"row {zero_rows[0]} sums to zero; cannot renormalize")
-        out = out / sums[:, None]
-    return PosteriorMatrix(out)
+    sums = out.sum(axis=1)
+    zero_rows = np.flatnonzero(sums <= 0.0)
+    if zero_rows.size:
+        raise ValidationError(f"row {zero_rows[0]} sums to zero; cannot renormalize")
+    return PosteriorMatrix(out / sums[:, None])
 
 
 def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
@@ -130,7 +123,7 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
     """
     logs = floored_log(p.values)
     if priors is not None:
-        pr = np.asarray(priors, dtype=np.float64)
+        pr = numeric_array(priors, "priors")
         if pr.shape != (p.classes,):
             raise ValidationError(
                 f"priors must have one entry per class ({p.classes}), "
@@ -140,6 +133,21 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
             raise ValidationError("priors must be finite and > 0")
         logs = logs - np.log(pr)
     return LogScoreMatrix(logs)
+
+
+def numeric_array(values, name: str) -> np.ndarray:
+    """values as float64 if numpy stores them as integers or floats, else a ValidationError.
+
+    Strings, bools, objects and ragged nesting are refused, by one dtype test
+    whatever the size; name starts the message.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nested lists
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold only numbers, got {values!r}")
+    return arr.astype(np.float64, copy=False)
 
 
 def check_row_sums(values: np.ndarray) -> int | None:

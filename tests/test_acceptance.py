@@ -18,6 +18,7 @@ import pytest
 
 from minkdecode import (
     LogScoreMatrix,
+    PosteriorMatrix,
     align_and_score,
     cli,
     corpus_wer,
@@ -25,6 +26,7 @@ from minkdecode import (
     transform_matrix,
     viterbi_decode,
 )
+from minkdecode.minkowski import transform_values
 
 from conftest import (
     make_random_hmm,
@@ -168,7 +170,7 @@ def test_c07_argmax_and_rank_invariance():
         base_argmax = np.argmax(m.values, axis=1)
         base_rank = np.argsort(m.values, axis=1, kind="stable")
         for order in EVEN_ORDERS:
-            t = transform_matrix(m, order, renormalize=True)
+            t = transform_matrix(m, order)
             ok &= bool(np.array_equal(base_argmax, np.argmax(t.values, axis=1)))
             ok &= bool(np.array_equal(base_rank, np.argsort(t.values, axis=1, kind="stable")))
     # uniform transitions: decoded paths identical across orders 2/4/6
@@ -193,10 +195,10 @@ def test_c08_renormalization_neutrality():
         m = make_random_posteriors(rng, int(rng.integers(1, 12)), num_states)
         for order in (2, 4, 6):
             with_renorm = viterbi_decode(
-                to_log_scores(transform_matrix(m, order, renormalize=True)), hmm
+                to_log_scores(transform_matrix(m, order)), hmm
             ).state_path
             without = viterbi_decode(
-                to_log_scores(transform_matrix(m, order, renormalize=False)), hmm
+                to_log_scores(PosteriorMatrix(transform_values(m.values, order))), hmm
             ).state_path
             ok &= with_renorm == without
     _report("criterion-08 renormalization neutrality", ok)

@@ -76,15 +76,16 @@ class TestTransformCommand:
         again = tmp_path / "again.post"
         assert cli.main(["transform", str(dst), "--order", str(order), "--out", str(again)]) == 0
 
-    def test_renormalize_option_is_gone(self, tmp_path, capsys):
+    def test_renormalize_option_is_gone(self, tmp_path, demo_hmm, capsys):
         src = tmp_path / "in.post"
         write_posteriors(src, [[0.8, 0.1, 0.1]])
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["transform", str(src), "--order", "4", "--renormalize", "off",
-                      "--out", str(tmp_path / "o")])
-        assert exc.value.code == cli.EXIT_VALIDATION
-        assert "unrecognized arguments: --renormalize off" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for argv in (["transform", str(src), "--order", "4", "--renormalize", "off"],
+                     ["decode", str(src), "--hmm", str(demo_hmm), "--renormalize", "on"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--out", str(tmp_path / "o")])
+            assert exc.value.code == cli.EXIT_VALIDATION
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_odd_order_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.post"
@@ -336,15 +337,16 @@ class TestSynthCommand:
 MISSING = object()  # a config value that deletes its key
 
 
-def experiment_config(tmp_path, hmm_path, concentration, confusion, seed, orders=(2, 4, 6)):
+def experiment_config(tmp_path, hmm_path, concentration, confusion, seed, orders=(2, 4, 6),
+                      utterances=8, frames=(6, 12)):
     cfg = {
         "hmm": hmm_path.name,
         "orders": list(orders),
         "renormalize": True,
         "corpus": {
             "dir": "corpus",
-            "utterances": 8,
-            "frames": [6, 12],
+            "utterances": utterances,
+            "frames": list(frames),
             "noise": {"concentration": concentration, "confusion_rate": confusion, "seed": seed},
         },
         "report": "report.json",
@@ -410,6 +412,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("section, key, value, field", [
         (None, "renormalize", "false", "renormalize"),
+        (None, "renormalize", False, "renormalize"),
         (None, "orders", [2, 4.7], "orders"),
         ("corpus", "utterances", 8.5, "utterances"),
         ("corpus", "frames", [6, 12.5], "frames"),
@@ -439,7 +442,7 @@ class TestExperimentCommand:
         (None, "report", "", "report"),
         ("corpus", "dir", "", "corpus.dir"),
         (None, "corpus", {"manifest": ""}, "corpus.manifest"),
-    ], ids=["renormalize", "orders", "utterances", "frames", "noise-seed",
+    ], ids=["renormalize", "renormalize-false", "orders", "utterances", "frames", "noise-seed",
             "noise-concentration", "noise-missing-key", "noise-list", "noise-string",
             "hmm-path", "priors-path", "report-path", "dir-path", "manifest-path",
             "odd-order", "hmm-missing", "dir-missing", "frames-length", "utterances-zero",
@@ -463,6 +466,17 @@ class TestExperimentCommand:
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("value", [True, MISSING], ids=["true", "missing"])
+    def test_renormalize_is_echoed_as_true(self, tmp_path, demo_hmm, capsys, value):
+        path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3, orders=(2,))
+        cfg = json.loads(path.read_text())
+        if value is MISSING:
+            del cfg["renormalize"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["experiment", str(path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["renormalize"] is True
 
     @pytest.mark.parametrize("config, message", [
         ([1, 2], "config must be a JSON object"),
@@ -534,14 +548,16 @@ class TestExperimentCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [entry["order"] for entry in doc["orders"]] == [2, 4]
 
-    @pytest.mark.parametrize("orders, concentration, confusion, baseline", [
-        ((6, 2), 5.0, 0.3, "nonzero"),
-        ((4,), 5.0, 0.3, "absent"),
-        ((4, 2), math.inf, 0.0, "zero"),
-    ], ids=["orders-6-2", "order-4", "wer0-baseline"])
+    @pytest.mark.parametrize("orders, concentration, confusion, seed, size, baseline", [
+        ((6, 2), 5.0, 0.3, 11, {}, "nonzero"),
+        ((4,), 5.0, 0.3, 11, {}, "absent"),
+        ((4, 2), math.inf, 0.0, 11, {}, "zero"),
+        ((2, 6), 1000.0, 0.0, 1, {"utterances": 10, "frames": (1, 3)}, "zero-order-6-worse"),
+    ], ids=["orders-6-2", "order-4", "wer0-baseline", "wer0-baseline-worse-order"])
     def test_table_rows_match_document(self, tmp_path, demo_hmm, capsys,
-                                       orders, concentration, confusion, baseline):
-        cfg = experiment_config(tmp_path, demo_hmm, concentration, confusion, 11, orders=orders)
+                                       orders, concentration, confusion, seed, size, baseline):
+        cfg = experiment_config(tmp_path, demo_hmm, concentration, confusion, seed,
+                                orders=orders, **size)
         assert cli.main(["experiment", str(cfg), "--format", "machine"]) == 0
         entries = json.loads(capsys.readouterr().out)["orders"]
         assert cli.main(["experiment", str(cfg)]) == 0
@@ -551,7 +567,8 @@ class TestExperimentCommand:
         assert len(rows) == len(entries)
         wer2 = {entry["order"]: entry["wer"] for entry in entries}.get(2)
         assert {"nonzero": wer2 is not None and wer2 > 0.0, "absent": wer2 is None,
-                "zero": wer2 == 0.0}[baseline]
+                "zero": wer2 == 0.0,
+                "zero-order-6-worse": wer2 == 0.0 and entries[1]["wer"] > 0.0}[baseline]
         for row, entry in zip(rows, entries):
             order, wer, subs, dels, ins, ref, vs = row.split()
             assert (int(order), wer, int(subs), int(dels), int(ins), int(ref)) == (
@@ -560,8 +577,10 @@ class TestExperimentCommand:
             reduction = entry["relative_reduction_vs_order2"]
             if entry["order"] == 2 or wer2 is None:
                 assert (vs, reduction) == ("-", None)
-            elif wer2 == 0.0:
+            elif wer2 == 0.0 and entry["wer"] == 0.0:
                 assert (vs, reduction) == ("+0.000%", 0.0)
+            elif wer2 == 0.0:  # no finite ratio against a WER of 0
+                assert (vs, reduction) == ("-", None)
             else:
                 assert vs == f"{100 * reduction:+.3f}%"
                 assert reduction == (wer2 - entry["wer"]) / wer2
@@ -668,3 +687,49 @@ def test_invalid_json_names_file_and_line(tmp_path, demo_hmm, capsys, kind):
     }[kind]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert f"{bad}:3: invalid JSON: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["decode-posteriors", "transform", "decode-hmm", "decode-priors",
+                                  "score-reference", "score-hypothesis", "experiment-config",
+                                  "experiment-hmm", "experiment-manifest"])
+def test_non_utf8_input_names_file_and_line(tmp_path, demo_hmm, capsys, kind):
+    post = tmp_path / "in.post"
+    write_posteriors(post, [[0.5, 0.3, 0.2]])
+    priors = tmp_path / "priors.txt"
+    priors.write_text("0.5 0.3 0.2\n")
+    ref = tmp_path / "r.txt"
+    ref.write_text("red\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"{\n\xff\n")  # the bad byte is on line 2
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"hmm": bad.name if kind == "experiment-hmm" else demo_hmm.name,
+                               "corpus": {"manifest": bad.name}}))
+    out = str(tmp_path / "o")
+    argv = {
+        "decode-posteriors": ["decode", str(bad), "--hmm", str(demo_hmm), "--out", out],
+        "transform": ["transform", str(bad), "--order", "4", "--out", out],
+        "decode-hmm": ["decode", str(post), "--hmm", str(bad), "--out", out],
+        "decode-priors": ["decode", str(post), "--hmm", str(demo_hmm), "--priors", str(bad),
+                          "--out", out],
+        "score-reference": ["score", str(bad), str(ref)],
+        "score-hypothesis": ["score", str(ref), str(bad)],
+        "experiment-config": ["experiment", str(bad)],
+        "experiment-hmm": ["experiment", str(cfg)],
+        "experiment-manifest": ["experiment", str(cfg)],
+    }[kind]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {bad}:2: not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not Path(out).exists()
+
+
+def test_experiment_refuses_a_label_transcripts_cannot_hold(tmp_path, demo_hmm, capsys):
+    doc = json.loads(demo_hmm.read_text())
+    doc["labels"] = ["red", " green", "blue"]
+    demo_hmm.write_text(json.dumps(doc))
+    cfg = experiment_config(tmp_path, demo_hmm, 1000.0, 0.0, 1)
+    assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
+    assert f"error: {demo_hmm}: labels must" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+    assert not (tmp_path / "report.json").exists()

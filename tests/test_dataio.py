@@ -17,12 +17,9 @@ from minkdecode import (
     ValidationError,
     cli,
     dataio,
-    transform_matrix,
 )
 from minkdecode.dataio import (
     MANIFEST_NAME,
-    CorpusManifest,
-    CorpusUtterance,
     NoiseSpec,
     format_float,
     generate_corpus,
@@ -31,12 +28,13 @@ from minkdecode.dataio import (
     load_posteriors,
     load_priors,
     load_transcript,
-    save_manifest,
     save_posteriors,
     save_transcript,
     splitmix64_doubles,
     write_text,
 )
+
+from minkdecode.minkowski import transform_values
 
 from conftest import make_random_hmm, make_random_posteriors
 from oracles import SplitMix64
@@ -65,7 +63,7 @@ class TestPosteriorFormat:
             load_posteriors(p)
 
     def test_save_refuses_rows_the_loader_refuses(self, tmp_path):
-        m = transform_matrix(PosteriorMatrix([[0.8, 0.1, 0.1]]), 4, renormalize=False)
+        m = PosteriorMatrix(transform_values([[0.8, 0.1, 0.1]], 4))
         p = tmp_path / "lib.post"
         with pytest.raises(ValidationError,
                            match=r"^row 0 sums to 1\.26\d*, expected 1 within 1e-06$"):
@@ -217,6 +215,7 @@ class TestHmmFormat:
         ("transitions", [[0.5, 0.5], [1.0]]),
         ("labels", [1, ["x"]]),
         ("initial", [0.5, 0.25, 0.25]),
+        ("labels", ["a", " b"]),
     ])
     def test_mistyped_field_names_file(self, tmp_path, field, value):
         doc = {"num_states": 2, "initial": [0.5, 0.5],
@@ -235,6 +234,26 @@ class TestTranscripts:
         save_transcript(("hello", "world"), p)
         assert load_transcript(p) == ("hello", "world")
         assert p.read_text() == "hello\nworld\n"
+
+
+class TestReadText:
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff", 1),
+        (b"1 2\n0.5 0.5\n\xff\n", 3),
+        (b"a\r\nb\n\xc3", 3),  # a sequence cut short at the end
+    ], ids=["first-byte", "third-line", "truncated"])
+    def test_non_utf8_names_file_and_line(self, tmp_path, data, line):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        with pytest.raises(DataFormatError) as err:
+            dataio.read_text(p)
+        assert (err.value.path, err.value.line) == (str(p), line)
+        assert str(err.value) == f"{p}:{line}: not UTF-8 text"
+
+    def test_keeps_text_as_written(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes("a\r\nb\u00e9\n".encode())
+        assert dataio.read_text(p) == "a\r\nb\u00e9\n"
 
 
 class TestPriors:
@@ -341,26 +360,24 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError, match=f"field 'noise.{field}'"):
             NoiseSpec(concentration, confusion_rate, seed)
 
-    def test_stores_floats(self, tmp_path):
+    def test_stores_floats(self, tmp_path, rng):
         # An integer JSON concentration must write the same manifest as a float one.
+        hmm = make_random_hmm(rng, 2)
         for name, noise in (("int", NoiseSpec(100, 0, 1)), ("float", NoiseSpec(100.0, 0.0, 1))):
-            save_manifest(CorpusManifest((), noise), tmp_path / name)
-        assert (tmp_path / "int").read_bytes() == (tmp_path / "float").read_bytes()
-        assert '"concentration": 100.0' in (tmp_path / "int").read_text()
+            generate_corpus(hmm, 1, (2, 2), noise, tmp_path / name)
+        int_doc, float_doc = ((tmp_path / name / MANIFEST_NAME).read_bytes()
+                              for name in ("int", "float"))
+        assert int_doc == float_doc
+        assert '"concentration": 100.0' in int_doc.decode()
 
 
 class TestManifest:
     def test_round_trip(self, tmp_path, rng):
-        m = make_random_posteriors(rng, 3, 2)
-        save_posteriors(m, tmp_path / "u0.post")
-        save_transcript(("a",), tmp_path / "u0.ref")
-        manifest = CorpusManifest(
-            (CorpusUtterance("u0", tmp_path / "u0.post", tmp_path / "u0.ref"),),
-            NoiseSpec(2.0, 0.1, 42),
-        )
-        save_manifest(manifest, tmp_path / MANIFEST_NAME)
+        manifest = generate_corpus(make_random_hmm(rng, 2), 2, (3, 3), NoiseSpec(2.0, 0.1, 42),
+                                   tmp_path)
         again = load_manifest(tmp_path / MANIFEST_NAME)
-        assert again.utterances[0].utterance_id == "u0"
+        assert again == manifest
+        assert again.utterances[0].utterance_id == "utt0000"
         assert again.noise == NoiseSpec(2.0, 0.1, 42)
 
     def test_non_object_rejected(self, tmp_path):
@@ -377,16 +394,14 @@ class TestManifest:
             load_manifest(p)
 
     def test_paths_in_a_subdirectory_and_outside(self, tmp_path, rng):
-        # A file below the manifest's directory is stored relative to it,
-        # one outside it by its full path; both load back to the same path.
+        # A path is relative to the manifest's directory unless it is absolute.
         (tmp_path / "m" / "sub").mkdir(parents=True)
         post, ref = tmp_path / "m" / "sub" / "u0.post", tmp_path / "u0.ref"
         save_posteriors(make_random_posteriors(rng, 2, 2), post)
         save_transcript(("a",), ref)
         p = tmp_path / "m" / MANIFEST_NAME
-        save_manifest(CorpusManifest((CorpusUtterance("u0", post, ref),)), p)
-        entry = json.loads(p.read_text())["utterances"][0]
-        assert (entry["posteriors"], entry["reference"]) == ("sub/u0.post", ref.as_posix())
+        entry = {"id": "u0", "posteriors": "sub/u0.post", "reference": ref.as_posix()}
+        p.write_text(json.dumps({"utterances": [entry]}))
         utt = load_manifest(p).utterances[0]
         assert (utt.posteriors_path, utt.reference_path) == (post, ref)
 

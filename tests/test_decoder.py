@@ -10,6 +10,7 @@ from minkdecode import (
     ValidationError,
     viterbi_decode,
 )
+from minkdecode.dataio import load_transcript, save_transcript
 from minkdecode.decoder import collapse_tokens
 
 from conftest import make_random_hmm, make_random_scores, make_uniform_hmm
@@ -69,8 +70,12 @@ class TestHmmModel:
         ([1.0], [[1.0]], ["a", "b"], [0], "one entry per state"),
         ([1.0], [[1.0]], ["a"], [-1], "nonnegative column indices"),
         ([1.5, -0.5], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "must be nonnegative"),
+        (["0.5", "0.5"], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "^initial must hold only"),
+        ([True, False], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "^initial must hold only"),
+        ([0.5, 0.5], [[0.5, 0.5], [1.0]], ["a", "b"], [0, 1], "^transitions must hold only"),
     ], ids=["matrix-initial", "no-states", "transitions-shape", "label-count",
-            "negative-class", "negative-probability"])
+            "negative-class", "negative-probability", "string-initial", "bool-initial",
+            "ragged-transitions"])
     def test_rejects_malformed_model(self, initial, transitions, labels, state_to_class,
                                      message):
         with pytest.raises(ValidationError, match=message):
@@ -84,6 +89,22 @@ class TestHmmModel:
     def test_rejects_non_string_labels(self, labels):
         with pytest.raises(ValidationError, match="labels must be strings"):
             HmmModel.from_probs([1.0], [[1.0]], labels, [0])
+
+    @pytest.mark.parametrize("label", ["", " a", "a\nb", "a\u2028b"],
+                             ids=["empty", "leading-space", "newline", "line-separator"])
+    def test_rejects_labels_a_transcript_cannot_hold(self, label):
+        with pytest.raises(ValidationError, match="^labels must"):
+            HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["x", label], [0, 1])
+
+    def test_inner_space_label_survives_a_transcript(self, tmp_path):
+        hmm = HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a b", "c"], [0, 1])
+        path = tmp_path / "t.ref"
+        save_transcript(hmm.state_labels, path)
+        assert load_transcript(path) == ("a b", "c")
+
+    def test_refuses_non_number_log_scores(self):
+        with pytest.raises(ValidationError, match="^log_initial must hold only numbers"):
+            HmmModel(["0", "-1e30"], np.full((2, 2), np.log(0.5)), ["a", "b"], [0, 1])
 
     def test_accepts_integral_float_state_to_class(self):
         hmm = HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a", "b"], [0.0, 1.0])

@@ -15,6 +15,8 @@ from minkdecode import (
     transform_matrix,
 )
 
+from minkdecode.minkowski import transform_values
+
 from conftest import make_random_posteriors
 from oracles import closed_form_transform
 
@@ -55,10 +57,17 @@ class TestMatrixTypes:
         [0.5, 0.5],
         np.empty((0, 2)),
         [[0.5]],
-    ], ids=["nan", "inf", "-inf", "1-d", "zero-frames", "one-class"])
+        [["0.5", "0.5"]],
+        [[True, False]],
+        [[0.5, 0.5], [1.0]],
+    ], ids=["nan", "inf", "-inf", "1-d", "zero-frames", "one-class", "strings", "bools",
+            "ragged"])
     def test_rejects(self, matrix_type, values):
         with pytest.raises(ValidationError):
             matrix_type(values)
+
+    def test_accepts_integers(self, matrix_type):
+        assert matrix_type([[1, 0]]).values.dtype == np.float64
 
     def test_values_read_only(self, matrix_type):
         m = matrix_type([[0.5, 0.5]])
@@ -76,20 +85,20 @@ class TestMatrixTypes:
 class TestTransformMatrix:
     def test_fixed_point_row(self):
         m = PosteriorMatrix([[0.5, 0.5]])
-        out = transform_matrix(m, 4, renormalize=True)
+        out = transform_matrix(m, 4)
         assert np.array_equal(out.values, [[0.5, 0.5]])
 
     def test_two_class_row_no_renorm(self):
         m = PosteriorMatrix([[0.9, 0.1]])
-        out = transform_matrix(m, 4, renormalize=False)
-        assert out.values[0, 0] == pytest.approx(1 - T4_01, abs=1e-9)
-        assert out.values[0, 1] == pytest.approx(T4_01, abs=1e-9)
+        out = transform_values(m.values, 4)
+        assert out[0, 0] == pytest.approx(1 - T4_01, abs=1e-9)
+        assert out[0, 1] == pytest.approx(T4_01, abs=1e-9)
         # two-class rows stay normalized by the symmetry identity
-        assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_three_class_row_renormalized(self):
         m = PosteriorMatrix([[0.8, 0.1, 0.1]])
-        out = transform_matrix(m, 4, renormalize=True)
+        out = transform_matrix(m, 4)
         raw = np.array([T4_08, T4_01, T4_01])
         expected = raw / raw.sum()
         assert np.allclose(out.values[0], expected, atol=1e-9)
@@ -97,16 +106,16 @@ class TestTransformMatrix:
 
     def test_matches_scalar_transform(self, rng):
         m = make_random_posteriors(rng, 10, 4)
-        out = transform_matrix(m, 6, renormalize=False)
+        out = transform_values(m.values, 6)
         for t in range(m.frames):
             for c in range(m.classes):
                 scalar = closed_form_transform(float(m.values[t, c]), 6)
-                assert out.values[t, c] == pytest.approx(scalar, abs=1e-15)
+                assert out[t, c] == pytest.approx(scalar, abs=1e-15)
 
     def test_order2_bit_identical_without_renorm(self, rng):
         m = make_random_posteriors(rng, 8, 5)
-        out = transform_matrix(m, 2, renormalize=False)
-        assert np.array_equal(out.values, m.values)
+        out = transform_values(m.values, 2)
+        assert np.array_equal(out, m.values)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValidationError, match="row 0 sums to zero"):
@@ -125,9 +134,9 @@ class TestTransformMatrix:
         m = PosteriorMatrix(raw)
         if (raw.sum(axis=1) <= 0).any():
             with pytest.raises(ValidationError):
-                transform_matrix(m, order, renormalize=True)
+                transform_matrix(m, order)
             return
-        out = transform_matrix(m, order, renormalize=True)
+        out = transform_matrix(m, order)
         assert np.all(np.abs(out.values.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_rejects_odd_order(self, rng):
@@ -138,7 +147,7 @@ class TestTransformMatrix:
         for _ in range(30):
             m = make_random_posteriors(rng, 12, 6)
             for order in (4, 6):
-                out = transform_matrix(m, order, renormalize=True)
+                out = transform_matrix(m, order)
                 assert np.array_equal(
                     np.argmax(m.values, axis=1), np.argmax(out.values, axis=1)
                 )
@@ -167,6 +176,11 @@ class TestToLogScores:
     def test_prior_length_mismatch(self):
         with pytest.raises(ValidationError, match="priors"):
             to_log_scores(PosteriorMatrix([[0.5, 0.5]]), priors=[1.0])
+
+    @pytest.mark.parametrize("priors", [["0.5", "0.5"], [True, True]], ids=["strings", "bools"])
+    def test_prior_must_be_numbers(self, priors):
+        with pytest.raises(ValidationError, match="^priors must hold only numbers"):
+            to_log_scores(PosteriorMatrix([[0.5, 0.5]]), priors=priors)
 
     def test_prior_positivity(self):
         with pytest.raises(ValidationError):
