@@ -1,11 +1,19 @@
 """Log-domain Viterbi decoding against a small HMM.
 
 `viterbi_decode` is the standard max-product dynamic program; ties prefer
-the lower state index at every decision. Emission scores come from a
-LogScoreMatrix through the model's state-to-class column map (`_emissions`)
-and paths become results through `_result`. The test suite's oracle, which
-scores every state path outright (`tests/oracles.py`), uses those two
-helpers too, so it and the DP differ only in how they search.
+the lower state index at every decision. It has two exact forward passes
+and picks one by state count: up to SCALAR_MAX_STATES states a pure-Python
+float loop (`_scalar_forward`) that makes no numpy call per frame, above
+that a numpy frame loop (`_array_forward`) whose cost is mostly per-frame
+call overhead and grows slowly with K. Both add the same floats in the same
+order and keep the lowest index among equal candidates, so they give
+identical paths and scores; the final pick and the backtrace are shared.
+
+Emission scores come from a LogScoreMatrix through the model's
+state-to-class column map (`_emissions`) and paths become results through
+`_result`. The test suite's oracle, which scores every state path outright
+(`tests/oracles.py`), uses those two helpers too, so it and the DP differ
+only in how they search.
 
 `HmmModel` owns the model's invariants (labels a transcript can hold, one
 label and class per state, distributions summing to 1 by
@@ -160,13 +168,71 @@ def _result(path, log_score: float, hmm: HmmModel) -> DecodingResult:
     return DecodingResult(path_t, tokens, float(log_score))
 
 
+# Largest state count that takes the scalar forward pass. A sweep at
+# T 10-25 on a 2-vCPU host (one CPU, 40 alternating rounds of 100 calls)
+# put the crossover at K=7: the scalar pass was faster in 79 of 80 rounds at
+# K=6 (best round 55 against 62 us per call), slower in the best round at
+# K=7 (69-76 against 63-69 us), and it is 4-5x slower at K=20.
+SCALAR_MAX_STATES = 6
+
+
 def viterbi_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
     """Maximum-log-probability state path by exact dynamic programming.
 
     Ties prefer the lower state index at every backpointer decision and at
-    the final frame, making the result deterministic.
+    the final frame, making the result deterministic. An HMM of at most
+    SCALAR_MAX_STATES states runs the scalar forward pass, a larger one the
+    array pass; both make the same float additions in the same order and
+    break ties alike, so either gives the same path and score bit for bit.
     """
     emis = _emissions(scores, hmm)
+    if hmm.num_states <= SCALAR_MAX_STATES:
+        delta, backptr = _scalar_forward(emis, hmm)
+    else:
+        delta, backptr = _array_forward(emis, hmm)
+    # max returns the first maximal state, as argmax does.
+    state = max(range(len(delta)), key=delta.__getitem__)
+    log_score = delta[state]
+    path = [state] * len(backptr)
+    for t in range(len(backptr) - 1, 0, -1):
+        state = backptr[t][state]
+        path[t - 1] = state
+    return _result(path, log_score, hmm)
+
+
+def _scalar_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
+    """Forward pass in Python floats: no numpy call per frame.
+
+    Returns the last frame's scores and, per frame t, each state's best
+    predecessor (row 0 unused). Candidate i for state j is
+    delta[i] + trans[i][j], the strict `>` keeps the lowest index among
+    equal ones, and the winner then adds the emission, as in `_array_forward`.
+    """
+    rows = emis.tolist()
+    into = list(zip(*hmm.log_transitions.tolist()))  # into[j][i] = trans[i][j]
+    rest = range(1, len(into))
+    delta = [a + b for a, b in zip(hmm.log_initial.tolist(), rows[0])]
+    backptr = [[0] * len(into)]
+    for row in rows[1:]:
+        nxt = []
+        prev = []
+        for col, e in zip(into, row):
+            best = delta[0] + col[0]
+            arg = 0
+            for i in rest:
+                c = delta[i] + col[i]
+                if c > best:
+                    best = c
+                    arg = i
+            nxt.append(best + e)
+            prev.append(arg)
+        delta = nxt
+        backptr.append(prev)
+    return delta, backptr
+
+
+def _array_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
+    """Forward pass in numpy, one frame per step; returns what `_scalar_forward` does."""
     num_frames, num_states = emis.shape
     # cand[j, i] = delta[i] + trans[i, j]: row j holds every way into state j,
     # so the argmax runs along a contiguous axis, and taking each row's
@@ -184,11 +250,4 @@ def viterbi_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
         cand.argmax(1, out=prev)  # first max = lowest index
         np.add(row_start, prev, out=best)
         delta = flat.take(best) + emis[t]
-    state = int(delta.argmax())
-    log_score = float(delta[state])
-    path = [state] * num_frames
-    bp = backptr.tolist()
-    for t in range(num_frames - 1, 0, -1):
-        state = bp[t][state]
-        path[t - 1] = state
-    return _result(path, log_score, hmm)
+    return delta.tolist(), backptr.tolist()

@@ -19,6 +19,7 @@ with exact zeros at LOG_FLOOR, all also used by `HmmModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -138,16 +139,31 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
 def numeric_array(values, name: str) -> np.ndarray:
     """values as float64 if numpy stores them as integers or floats, else a ValidationError.
 
-    Strings, bools, objects and ragged nesting are refused, by one dtype test
-    whatever the size; name starts the message.
+    Strings, bools, objects and ragged nesting are refused; name starts the
+    message. An ndarray gets one dtype test whatever its size. numpy stores a
+    list that mixes bools with numbers as numbers, so a list or tuple is also
+    walked for bools, nested ones included.
     """
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nested lists
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    if arr is None or arr.dtype.kind not in "iuf" or (
+            isinstance(values, (list, tuple)) and _holds_bool(values, arr.ndim)):
         raise ValidationError(f"{name} must hold only numbers, got {values!r}")
     return arr.astype(np.float64, copy=False)
+
+
+def _holds_bool(values, ndim: int) -> bool:
+    """Whether nested sequences that numpy read as an ndim-dimensional array hold a bool.
+
+    Flattening ndim - 1 times reaches the entries, whose types are then
+    collected without a Python-level loop.
+    """
+    for _ in range(ndim - 1):
+        values = chain.from_iterable(values)
+    types = set(map(type, values))
+    return bool in types or np.bool_ in types
 
 
 def check_row_sums(values: np.ndarray) -> int | None:

@@ -218,6 +218,20 @@ class TestDecodeCommand:
         assert code == cli.EXIT_VALIDATION
         assert f"{hmm}: {field} must be" in capsys.readouterr().err
 
+    def test_bool_among_numbers_in_hmm_is_validation_error(self, tmp_path, capsys):
+        # numpy alone would read [true, 0.0] as [1.0, 0.0], a valid distribution.
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.5, 0.5]])
+        hmm = tmp_path / "bool.json"
+        hmm.write_text(json.dumps({
+            "num_states": 2, "initial": [True, 0.0],
+            "transitions": [[0.5, 0.5], [0.5, 0.5]],
+            "labels": ["a", "b"], "state_to_class": [0, 1],
+        }))
+        code = cli.main(["decode", str(src), "--hmm", str(hmm), "--out", str(tmp_path / "h")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{hmm}: initial must hold only numbers" in capsys.readouterr().err
+
     def test_wrong_length_priors_name_file(self, tmp_path, demo_hmm, capsys):
         src = tmp_path / "in.post"
         write_posteriors(src, [[0.5, 0.3, 0.2]])

@@ -216,6 +216,7 @@ class TestHmmFormat:
         ("labels", [1, ["x"]]),
         ("initial", [0.5, 0.25, 0.25]),
         ("labels", ["a", " b"]),
+        ("initial", [True, 0.0]),
     ])
     def test_mistyped_field_names_file(self, tmp_path, field, value):
         doc = {"num_states": 2, "initial": [0.5, 0.5],

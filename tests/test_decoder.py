@@ -10,11 +10,24 @@ from minkdecode import (
     ValidationError,
     viterbi_decode,
 )
+from minkdecode import decoder
 from minkdecode.dataio import load_transcript, save_transcript
 from minkdecode.decoder import collapse_tokens
 
 from conftest import make_random_hmm, make_random_scores, make_uniform_hmm
 from oracles import exhaustive_decode, score_path
+
+
+# viterbi_decode picks its forward pass by state count; these limits force
+# one pass whatever the K: the scalar pass takes every K up to the limit.
+PASSES = {"scalar": 10**9, "array": 0}
+
+
+def decode_by(forward, scores, hmm):
+    """viterbi_decode with the named forward pass, whatever hmm.num_states is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "SCALAR_MAX_STATES", PASSES[forward])
+        return viterbi_decode(scores, hmm)
 
 
 class TestHmmModel:
@@ -73,9 +86,13 @@ class TestHmmModel:
         (["0.5", "0.5"], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "^initial must hold only"),
         ([True, False], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "^initial must hold only"),
         ([0.5, 0.5], [[0.5, 0.5], [1.0]], ["a", "b"], [0, 1], "^transitions must hold only"),
+        ([True, 0.0], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "^initial must hold only"),
+        ([0.5, 0.5], ([0.5, 0.5], (np.True_, 0.0)), ["a", "b"], [0, 1],
+         "^transitions must hold only"),
     ], ids=["matrix-initial", "no-states", "transitions-shape", "label-count",
             "negative-class", "negative-probability", "string-initial", "bool-initial",
-            "ragged-transitions"])
+            "ragged-transitions", "bool-among-numbers-initial",
+            "nested-bool-among-numbers-transitions"])
     def test_rejects_malformed_model(self, initial, transitions, labels, state_to_class,
                                      message):
         with pytest.raises(ValidationError, match=message):
@@ -181,11 +198,12 @@ class TestViterbi:
         assert result.state_path[1] == 0
         assert result.log_score > LOG_FLOOR / 2
 
-    def test_tie_break_prefers_lower_state(self):
+    @pytest.mark.parametrize("forward", PASSES)
+    def test_tie_break_prefers_lower_state(self, forward):
         # fully tied instance: every path scores the same
         hmm = make_uniform_hmm(3)
         scores = LogScoreMatrix(np.zeros((4, 3)))
-        v = viterbi_decode(scores, hmm)
+        v = decode_by(forward, scores, hmm)
         e = exhaustive_decode(scores, hmm)
         assert v.state_path == (0, 0, 0, 0)
         assert e.state_path == (0, 0, 0, 0)
@@ -265,22 +283,77 @@ FLOOR_DECODES = [
 ]
 
 
+def cross_pass_instances(count=300):
+    """Seeded instances of 1-12 states and 1-300 frames for comparing the passes.
+
+    Every fourth one is fully tied (uniform model, equal scores); the others
+    hold LOG_FLOOR in the scores and, in about a quarter of the entries, in
+    the transitions.
+    """
+    rng = np.random.default_rng(6007)
+    out = []
+    for n in range(count):
+        k = int(rng.integers(1, 13))
+        frames = int(rng.integers(1, 301))
+        if n % 4 == 0:
+            hmm = make_uniform_hmm(k)
+            scores = np.full((frames, max(k, 2)), -0.5)
+        else:
+            trans = rng.dirichlet(np.ones(k), size=k)
+            trans[rng.random((k, k)) < 0.25] = 0.0
+            trans[:, 0] += 0.05
+            trans /= trans.sum(axis=1, keepdims=True)
+            hmm = HmmModel.from_probs(rng.dirichlet(np.ones(k)), trans,
+                                      [f"w{i}" for i in range(k)], list(range(k)))
+            scores = np.round(rng.normal(size=(frames, max(k, 2))), 1)
+            scores[rng.random(scores.shape) < 0.3] = LOG_FLOOR
+        out.append((LogScoreMatrix(scores), hmm))
+    return out
+
+
 class TestViterbiExact:
+    @pytest.mark.parametrize("forward", PASSES)
     @settings(max_examples=200, deadline=None)
     @given(exact_instances())
-    def test_matches_exhaustive_bit_for_bit(self, instance):
+    def test_matches_exhaustive_bit_for_bit(self, forward, instance):
         scores, hmm = instance
-        v = viterbi_decode(scores, hmm)
+        v = decode_by(forward, scores, hmm)
         e = exhaustive_decode(scores, hmm)
         assert v.state_path == e.state_path
         assert v.log_score == e.log_score
 
-    def test_frozen_decodes_with_floor_entries(self):
+    @pytest.mark.parametrize("forward", PASSES)
+    def test_frozen_decodes_with_floor_entries(self, forward):
         got = [
             (r.state_path, r.log_score)
-            for r in (viterbi_decode(s, h) for s, h in floor_instances())
+            for r in (decode_by(forward, s, h) for s, h in floor_instances())
         ]
         assert got == FLOOR_DECODES
+
+    def test_passes_agree_bit_for_bit(self):
+        instances = cross_pass_instances()
+        assert {h.num_states for _, h in instances} == set(range(1, 13))
+        for scores, hmm in instances:
+            s = decode_by("scalar", scores, hmm)
+            a = decode_by("array", scores, hmm)
+            assert s.state_path == a.state_path
+            assert s.log_score == a.log_score
+
+    @pytest.mark.parametrize("num_states, forward", [
+        (decoder.SCALAR_MAX_STATES, "_scalar_forward"),
+        (decoder.SCALAR_MAX_STATES + 1, "_array_forward"),
+    ], ids=["at-limit", "above-limit"])
+    def test_state_count_picks_the_pass(self, monkeypatch, num_states, forward):
+        class Taken(Exception):
+            pass
+
+        def taken(emis, hmm):
+            raise Taken
+
+        monkeypatch.setattr(decoder, forward, taken)
+        hmm = make_uniform_hmm(num_states)
+        with pytest.raises(Taken):
+            viterbi_decode(LogScoreMatrix(np.zeros((3, num_states))), hmm)
 
     @pytest.mark.xfail(
         strict=True,

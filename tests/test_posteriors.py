@@ -60,8 +60,9 @@ class TestMatrixTypes:
         [["0.5", "0.5"]],
         [[True, False]],
         [[0.5, 0.5], [1.0]],
+        [[True, 0.0], [0.5, 0.5]],
     ], ids=["nan", "inf", "-inf", "1-d", "zero-frames", "one-class", "strings", "bools",
-            "ragged"])
+            "ragged", "bool-among-numbers"])
     def test_rejects(self, matrix_type, values):
         with pytest.raises(ValidationError):
             matrix_type(values)
@@ -177,7 +178,8 @@ class TestToLogScores:
         with pytest.raises(ValidationError, match="priors"):
             to_log_scores(PosteriorMatrix([[0.5, 0.5]]), priors=[1.0])
 
-    @pytest.mark.parametrize("priors", [["0.5", "0.5"], [True, True]], ids=["strings", "bools"])
+    @pytest.mark.parametrize("priors", [["0.5", "0.5"], [True, True], [True, 1.0]],
+                             ids=["strings", "bools", "bool-among-numbers"])
     def test_prior_must_be_numbers(self, priors):
         with pytest.raises(ValidationError, match="^priors must hold only numbers"):
             to_log_scores(PosteriorMatrix([[0.5, 0.5]]), priors=priors)
