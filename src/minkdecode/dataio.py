@@ -513,7 +513,7 @@ def generate_corpus(
     `check_corpus_size`, which names them 'utterances' and 'frames'.
     """
     lo, hi = check_corpus_size(num_utterances, frames_range)
-    classes = int(hmm.state_to_class.max()) + 1
+    classes = hmm.max_class + 1
     if classes < 2:
         raise ValidationError("corpus generation needs at least 2 classes")
     out_dir = Path(out_dir)

@@ -17,13 +17,15 @@ only in how they search.
 
 `HmmModel` owns the model's invariants (labels a transcript can hold, one
 label and class per state, distributions summing to 1 by
-`posteriors.check_row_sums`);
+`posteriors.check_row_sums`) and computes once, not per decode, its largest
+class index `max_class` and the scalar pass's tables (`_scalar_tables`);
 `dataio.load_hmm` checks only the file's JSON types and `num_states`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +59,7 @@ class HmmModel:
     log_transitions: np.ndarray
     state_labels: tuple[str, ...]
     state_to_class: np.ndarray
+    max_class: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         init = numeric_array(self.log_initial, "log_initial")
@@ -108,10 +111,16 @@ class HmmModel:
         object.__setattr__(self, "log_transitions", trans)
         object.__setattr__(self, "state_labels", labels)
         object.__setattr__(self, "state_to_class", s2c)
+        object.__setattr__(self, "max_class", int(s2c.max()))
 
     @property
     def num_states(self) -> int:
         return self.log_initial.shape[0]
+
+    @cached_property
+    def _scalar_tables(self) -> tuple[list, list]:
+        """Initial scores and into[j][i] = log_transitions[i][j] as Python floats."""
+        return self.log_initial.tolist(), list(zip(*self.log_transitions.tolist()))
 
     @classmethod
     def from_probs(cls, initial, transitions, labels, state_to_class) -> "HmmModel":
@@ -124,13 +133,14 @@ class HmmModel:
 
 
 def _class_indices(values) -> np.ndarray:
-    """state_to_class as int64; integral floats (as JSON may give) pass."""
-    arr = np.asarray(values)
-    integral = arr.dtype.kind in "iu" or (
-        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
-    )
-    if not integral:
-        raise ValidationError(f"state_to_class entries must be integers, got {values!r}")
+    """state_to_class as int64 by `numeric_array`'s rules; integral floats (as JSON may give) pass.
+
+    Below 2**53 in magnitude float64 holds integers exactly, so the cast is exact and safe.
+    """
+    arr = numeric_array(values, "state_to_class")
+    if not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**53)).all():
+        raise ValidationError(
+            f"state_to_class entries must be integers of magnitude below 2**53, got {values!r}")
     return arr.astype(np.int64)
 
 
@@ -153,13 +163,12 @@ def collapse_tokens(labels: Sequence[str]) -> tuple[str, ...]:
 
 
 def _emissions(scores: LogScoreMatrix, hmm: HmmModel) -> np.ndarray:
-    s2c = hmm.state_to_class
-    if int(s2c.max()) >= scores.classes:
+    if hmm.max_class >= scores.classes:
         raise ValidationError(
-            f"state_to_class refers to column {int(s2c.max())} but the score "
+            f"state_to_class refers to column {hmm.max_class} but the score "
             f"matrix has {scores.classes} classes"
         )
-    return scores.values[:, s2c]
+    return scores.values[:, hmm.state_to_class]
 
 
 def _result(path, log_score: float, hmm: HmmModel) -> DecodingResult:
@@ -209,9 +218,9 @@ def _scalar_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
     equal ones, and the winner then adds the emission, as in `_array_forward`.
     """
     rows = emis.tolist()
-    into = list(zip(*hmm.log_transitions.tolist()))  # into[j][i] = trans[i][j]
+    initial, into = hmm._scalar_tables
     rest = range(1, len(into))
-    delta = [a + b for a, b in zip(hmm.log_initial.tolist(), rows[0])]
+    delta = [a + b for a, b in zip(initial, rows[0])]
     backptr = [[0] * len(into)]
     for row in rows[1:]:
         nxt = []

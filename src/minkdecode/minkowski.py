@@ -80,18 +80,19 @@ def transform_values(values, order) -> np.ndarray:
 
     From the stationarity condition (1-mu) y^(n-1) = mu (1-y)^(n-1):
     y = r / (1 + r) with r = (mu / (1 - mu))**(1 / (n-1)). Entries 0 and 1
-    map exactly to themselves, and order 2 returns a copy of the input.
-    Entries are not range-checked; `PosteriorMatrix` does that.
+    map exactly to themselves (-0.0 to +0.0 above order 2), and order 2
+    returns a copy of the input. Entries are not range-checked; `PosteriorMatrix` does that.
+    Every step writes into an array, so a 0-d input never takes numpy's scalar arithmetic.
     """
     n = LossOrder(order).value
     vals = np.asarray(values, dtype=np.float64)
     if n == 2:
         return vals.copy()
-    m = n - 1
+    out = np.subtract(1.0, vals, out=np.empty_like(vals))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(vals, 1.0 - vals, out=np.zeros_like(vals), where=vals < 1.0)
-        r = ratio ** (1.0 / m)
-        out = r / (1.0 + r)
-    out = np.where(vals == 1.0, 1.0, out)
-    out = np.where(vals == 0.0, 0.0, out)
+        np.divide(vals, out, out=out)
+        np.power(out, 1.0 / (n - 1), out=out)
+        np.divide(out, np.add(out, 1.0, out=np.empty_like(vals)), out=out)
+    # mu = 1 gave inf / inf. mu = 0 or -0.0 gave +0.0: (+-0 / 1) ** y is +0 for y in (0, 1).
+    out[vals == 1.0] = 1.0
     return out

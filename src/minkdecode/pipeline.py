@@ -51,9 +51,8 @@ def check_posterior_fit(matrix: PosteriorMatrix, path, hmm: HmmModel,
     `viterbi_decode` and `to_log_scores` refuse both too, but cannot name
     the files.
     """
-    column = int(hmm.state_to_class.max())
-    if column >= matrix.classes:
-        raise DataFormatError(path, None, f"state_to_class refers to column {column} "
+    if hmm.max_class >= matrix.classes:
+        raise DataFormatError(path, None, f"state_to_class refers to column {hmm.max_class} "
                               f"but the posterior matrix has {matrix.classes} classes")
     if priors is not None and priors.shape != (matrix.classes,):
         raise DataFormatError(

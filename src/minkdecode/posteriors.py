@@ -11,6 +11,8 @@ invariant to.
 
 Both matrix types check their shape and entries in one shared base (one
 pass over the entries: in [0, 1] for posteriors, finite for log scores).
+`transform_matrix` and `to_log_scores` wrap their outputs without it
+(`_Matrix._unchecked`): computed from a checked matrix, they pass by construction.
 `numeric_array` is the one rule for what counts as an array of numbers,
 `check_row_sums` the one row-sum check and `floored_log` the one log
 with exact zeros at LOG_FLOOR, all also used by `HmmModel`.
@@ -65,6 +67,23 @@ class _Matrix:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray, source: PosteriorMatrix):
+        """A kernel's fresh output, shaped as its checked `source`, wrapped read-only.
+
+        Its entries pass by construction. `transform_matrix` divides each x of a row by
+        the row's sum s, where 0 <= x <= s (`transform_values` keeps [0, 1], and a float
+        sum of nonnegative terms is no less than any term), so x / s lies in [0, 1].
+        `to_log_scores` logs entries in [0, 1]: zeros become LOG_FLOOR, the rest finite
+        logs, less the finite logs of priors checked finite and > 0.
+        """
+        if not isinstance(source, PosteriorMatrix):
+            raise ValidationError(f"expected a PosteriorMatrix, got {type(source).__name__}")
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", arr)
+        return out
+
     @staticmethod
     def _accepts(arr: np.ndarray) -> np.ndarray:
         return np.isfinite(arr)
@@ -110,10 +129,10 @@ def transform_matrix(p: PosteriorMatrix, order) -> PosteriorMatrix:
     """
     out = transform_values(p.values, order)
     sums = out.sum(axis=1)
-    zero_rows = np.flatnonzero(sums <= 0.0)
-    if zero_rows.size:
-        raise ValidationError(f"row {zero_rows[0]} sums to zero; cannot renormalize")
-    return PosteriorMatrix(out / sums[:, None])
+    if not sums.all():
+        raise ValidationError(f"row {(sums == 0.0).argmax()} sums to zero; cannot renormalize")
+    out /= sums[:, None]
+    return PosteriorMatrix._unchecked(out, p)
 
 
 def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
@@ -132,8 +151,8 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
             )
         if not np.isfinite(pr).all() or (pr <= 0.0).any():
             raise ValidationError("priors must be finite and > 0")
-        logs = logs - np.log(pr)
-    return LogScoreMatrix(logs)
+        logs -= np.log(pr)
+    return LogScoreMatrix._unchecked(logs, p)
 
 
 def numeric_array(values, name: str) -> np.ndarray:
@@ -169,12 +188,14 @@ def _holds_bool(values, ndim: int) -> bool:
 def check_row_sums(values: np.ndarray) -> int | None:
     """Index of the first row whose sum is off 1 by more than ROW_SUM_TOLERANCE, else None."""
     sums = np.asarray(values, dtype=np.float64).sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)
-    return int(bad[0]) if bad.size else None
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
+    return int(np.flatnonzero(bad)[0]) if bad.any() else None
 
 
 def floored_log(values) -> np.ndarray:
     """Natural log of nonnegative values, with exact zeros at LOG_FLOOR instead of -inf."""
     v = np.asarray(values, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return np.where(v == 0.0, LOG_FLOOR, np.log(v))
+        out = np.log(v, out=np.empty_like(v))
+    out[v == 0.0] = LOG_FLOOR
+    return out

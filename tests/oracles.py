@@ -18,6 +18,9 @@ a route of its own and is checked against the code the pipeline runs:
   rounding can make two whole-path sums equal for the oracle when the DP's
   prefix sums differed, and the two may then return different paths of
   equal score; LOG_FLOOR entries make this much likelier.
+* `frozen_transform_values` and `frozen_floored_log` are earlier versions
+  of `minkowski.transform_values` and `posteriors.floored_log`, kept
+  verbatim; the rewritten kernels must give the same bits.
 * `SplitMix64` is the scalar generator whose draws
   `dataio.splitmix64_doubles` computes in bulk.
 """
@@ -35,7 +38,7 @@ import numpy as np
 from minkdecode.decoder import DecodingResult, HmmModel, _emissions, _result
 from minkdecode.errors import ValidationError
 from minkdecode.minkowski import LossOrder, _check_order_int, transform_values
-from minkdecode.posteriors import LogScoreMatrix
+from minkdecode.posteriors import LOG_FLOOR, LogScoreMatrix
 
 
 class SolverError(RuntimeError):
@@ -400,6 +403,33 @@ def score_path(path: Sequence[int], scores: LogScoreMatrix, hmm: HmmModel) -> fl
         total = total + hmm.log_transitions[states[t - 1], states[t]]
         total = total + emis[t, states[t]]
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# frozen kernels
+# ---------------------------------------------------------------------------
+
+def frozen_transform_values(values, order) -> np.ndarray:
+    """`transform_values` before its steps wrote into arrays, with a masked divide and np.where."""
+    n = LossOrder(order).value
+    vals = np.asarray(values, dtype=np.float64)
+    if n == 2:
+        return vals.copy()
+    m = n - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(vals, 1.0 - vals, out=np.zeros_like(vals), where=vals < 1.0)
+        r = ratio ** (1.0 / m)
+        out = r / (1.0 + r)
+    out = np.where(vals == 1.0, 1.0, out)
+    out = np.where(vals == 0.0, 0.0, out)
+    return out
+
+
+def frozen_floored_log(values) -> np.ndarray:
+    """`floored_log` before it filled LOG_FLOOR through a mask: one np.where pass."""
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.where(v == 0.0, LOG_FLOOR, np.log(v))
 
 
 # ---------------------------------------------------------------------------

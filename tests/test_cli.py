@@ -218,6 +218,29 @@ class TestDecodeCommand:
         assert code == cli.EXIT_VALIDATION
         assert f"{hmm}: {field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state_to_class, reason", [
+        ([0, 1, [2]], "must hold only numbers"),
+        ([0, 1, True], "must hold only numbers"),
+        ([0, 1, 1e300], "entries must be integers of magnitude below 2**53"),
+    ], ids=["ragged", "bool", "huge"])
+    def test_malformed_state_to_class_is_validation_error(self, tmp_path, capsys,
+                                                           state_to_class, reason):
+        # numpy alone would raise on the ragged list, read true as class 1 and
+        # warn on casting 1e300 to int64.
+        src = tmp_path / "in.post"
+        write_posteriors(src, [[0.2, 0.3, 0.5]])
+        hmm = tmp_path / "classes.json"
+        hmm.write_text(json.dumps({
+            "num_states": 3, "initial": [0.5, 0.25, 0.25],
+            "transitions": [[0.5, 0.25, 0.25]] * 3,
+            "labels": ["a", "b", "c"], "state_to_class": state_to_class,
+        }))
+        code = cli.main(["decode", str(src), "--hmm", str(hmm), "--out", str(tmp_path / "h")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert f"{hmm}: state_to_class {reason}" in err
+        assert "Traceback" not in err
+
     def test_bool_among_numbers_in_hmm_is_validation_error(self, tmp_path, capsys):
         # numpy alone would read [true, 0.0] as [1.0, 0.0], a valid distribution.
         src = tmp_path / "in.post"

@@ -82,6 +82,7 @@ class TestHmmModel:
         ([1.0], [[0.5, 0.5]], ["a"], [0], r"log_transitions must be 1x1, got \(1, 2\)"),
         ([1.0], [[1.0]], ["a", "b"], [0], "one entry per state"),
         ([1.0], [[1.0]], ["a"], [-1], "nonnegative column indices"),
+        ([1.0], [[1.0]], ["a"], [2**53], r"integers of magnitude below 2\*\*53"),
         ([1.5, -0.5], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "must be nonnegative"),
         (["0.5", "0.5"], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "^initial must hold only"),
         ([True, False], np.full((2, 2), 0.5), ["a", "b"], [0, 1], "^initial must hold only"),
@@ -90,8 +91,8 @@ class TestHmmModel:
         ([0.5, 0.5], ([0.5, 0.5], (np.True_, 0.0)), ["a", "b"], [0, 1],
          "^transitions must hold only"),
     ], ids=["matrix-initial", "no-states", "transitions-shape", "label-count",
-            "negative-class", "negative-probability", "string-initial", "bool-initial",
-            "ragged-transitions", "bool-among-numbers-initial",
+            "negative-class", "class-beyond-float64-integers", "negative-probability",
+            "string-initial", "bool-initial", "ragged-transitions", "bool-among-numbers-initial",
             "nested-bool-among-numbers-transitions"])
     def test_rejects_malformed_model(self, initial, transitions, labels, state_to_class,
                                      message):
@@ -212,7 +213,10 @@ class TestViterbi:
         hmm = HmmModel.from_probs(
             [0.5, 0.5], np.full((2, 2), 0.5), ["a", "b"], [0, 5]
         )
-        with pytest.raises(ValidationError, match="column"):
+        assert hmm.max_class == 5
+        with pytest.raises(ValidationError,
+                           match="^state_to_class refers to column 5 but the score matrix "
+                                 "has 2 classes$"):
             viterbi_decode(LogScoreMatrix([[0.0, 0.0]]), hmm)
 
 

@@ -16,9 +16,10 @@ from minkdecode import (
 )
 
 from minkdecode.minkowski import transform_values
+from minkdecode.posteriors import floored_log
 
 from conftest import make_random_posteriors
-from oracles import closed_form_transform
+from oracles import closed_form_transform, frozen_floored_log, frozen_transform_values
 
 # frozen from the grid oracle: transform(0.8, 4), transform(0.1, 4)
 T4_08 = 0.613511790436
@@ -122,6 +123,19 @@ class TestTransformMatrix:
         with pytest.raises(ValidationError, match="row 0 sums to zero"):
             transform_matrix(PosteriorMatrix([[0.0, 0.0]]), 4)
 
+    @pytest.mark.parametrize("order, zero", [(4, 0.0), (2, -0.0)])
+    def test_zero_row_named_by_index(self, order, zero):
+        m = PosteriorMatrix([[0.5, 0.5], [0.2, 0.8], [zero, zero], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="^row 2 sums to zero; cannot renormalize$"):
+            transform_matrix(m, order)
+
+    @pytest.mark.parametrize("kernel", [lambda m: transform_matrix(m, 4), to_log_scores],
+                             ids=["transform_matrix", "to_log_scores"])
+    def test_refuses_other_matrix_types(self, kernel):
+        # The outputs are wrapped unchecked, which only a checked posterior input allows.
+        with pytest.raises(ValidationError, match="expected a PosteriorMatrix, got LogScoreMatrix"):
+            kernel(LogScoreMatrix([[0.5, 0.5]]))
+
     @given(
         npst.arrays(
             np.float64,
@@ -187,3 +201,60 @@ class TestToLogScores:
     def test_prior_positivity(self):
         with pytest.raises(ValidationError):
             to_log_scores(PosteriorMatrix([[0.5, 0.5]]), priors=[0.0, 1.0])
+
+
+class TestFrozenKernels:
+    """The kernels against their earlier versions, kept verbatim in `oracles`: the same bits."""
+
+    EDGES = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+    ORDERS = range(2, 13, 2)
+
+    @classmethod
+    def inputs(cls):
+        """Arrays of K = 2..20 with edge entries injected, one-hot rows, 0-d and 1-element inputs."""
+        rng = np.random.default_rng(1)
+        for k in range(2, 21):
+            m = rng.dirichlet(np.full(k, 0.5), size=int(rng.integers(1, 40)))
+            injected = rng.random(m.shape) < 0.3
+            m[injected] = rng.choice(cls.EDGES, size=int(injected.sum()))
+            yield m
+            yield np.eye(k)
+        for v in cls.EDGES + [0.25, 0.5, 0.7]:
+            yield v
+            yield np.array(v)
+            yield np.array([v])
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert type(got) is type(want) and got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_transform_values(self):
+        for values in self.inputs():
+            for order in self.ORDERS:
+                self.assert_same_bits(transform_values(values, order),
+                                      frozen_transform_values(values, order))
+
+    def test_floored_log(self):
+        for values in self.inputs():
+            self.assert_same_bits(floored_log(values), frozen_floored_log(values))
+
+    def test_matrix_kernels(self):
+        priors = np.array([0.5, 0.25, 0.25])
+        for values in self.inputs():
+            if np.ndim(values) != 2:
+                continue
+            m = PosteriorMatrix(values[~(values == 0.0).all(axis=1)])  # rows it can rescale
+            for order in self.ORDERS:
+                raw = frozen_transform_values(m.values, order)
+                out = transform_matrix(m, order)
+                self.assert_same_bits(out.values, raw / raw.sum(axis=1)[:, None])
+                assert not out.values.flags.writeable
+                logs = to_log_scores(out)
+                self.assert_same_bits(logs.values, frozen_floored_log(out.values))
+                assert not logs.values.flags.writeable
+            if m.classes == 3:
+                logs = to_log_scores(m, priors)
+                self.assert_same_bits(logs.values, frozen_floored_log(m.values) - np.log(priors))
+                assert not logs.values.flags.writeable
