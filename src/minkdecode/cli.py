@@ -65,7 +65,7 @@ def cmd_decode(args) -> int:
     hmm = dataio.load_hmm(args.hmm)
     priors = dataio.load_priors(args.priors) if args.priors else None
     pipeline.check_posterior_fit(matrix, args.posteriors, hmm, priors, args.priors)
-    tokens = pipeline.decode_tokens(matrix, hmm, order, priors)
+    [tokens] = pipeline.decode_tokens([matrix], hmm, order, priors)
     dataio.save_transcript(tokens, args.out)
     return EXIT_OK
 

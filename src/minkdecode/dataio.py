@@ -333,13 +333,20 @@ def load_priors(path) -> np.ndarray:
 # corpus manifest
 # ---------------------------------------------------------------------------
 
+# Largest finite noise concentration. A class weight -log1p(-u) is below 37
+# (53 ln 2 for the largest uniform, 1 - 2**-53), so the true class's weight
+# times this is below 4e301 and a row's sum of weights stays finite.
+MAX_CONCENTRATION = 1e300
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Synthetic acoustic-noise knobs.
 
     concentration scales how much posterior mass lands on the true class
-    (math.inf gives exact one-hot rows); confusion_rate is the probability
-    that a frame's mass is re-centered on a uniformly chosen wrong class.
+    (math.inf gives exact one-hot rows); a finite one may be at most
+    MAX_CONCENTRATION. confusion_rate is the probability that a frame's
+    mass is re-centered on a uniformly chosen wrong class.
     Both must be real numbers and are stored as floats; seed must be an
     int. Nothing else is coerced: a string, a bool or a fractional seed is
     refused, and the message names the field as ``noise.<name>``.
@@ -356,6 +363,11 @@ class NoiseSpec:
         if math.isnan(self.concentration) or self.concentration <= 0.0:
             raise ValidationError(
                 f"field 'noise.concentration' must be > 0, got {self.concentration!r}"
+            )
+        if MAX_CONCENTRATION < self.concentration < math.inf:
+            raise ValidationError(
+                f"field 'noise.concentration' must be at most {MAX_CONCENTRATION:g} or inf, "
+                f"got {self.concentration!r}"
             )
         if not 0.0 <= self.confusion_rate <= 1.0:
             raise ValidationError(
@@ -421,6 +433,11 @@ def load_manifest(path) -> CorpusManifest:
 # at most this many draws (one that needs more gets a block of its own), so
 # its memory does not grow with the corpus.
 _BLOCK_DRAWS = 1 << 14
+
+# Draws one utterance may need, 8 MiB as float64: a frames range whose
+# maximum needs more is refused before any file is written. At 20 classes
+# that allows utterances of up to 45590 frames.
+MAX_UTTERANCE_DRAWS = 1 << 20
 
 _U64_MASK = (1 << 64) - 1  # a seed + i that passes 2**64 wraps
 
@@ -510,20 +527,27 @@ def generate_corpus(
     its state path; then for each frame a confusion draw, one more naming
     the wrong class if the frame is confused, and one exponential per class
     (none when the concentration is inf). The sizes must pass
-    `check_corpus_size`, which names them 'utterances' and 'frames'.
+    `check_corpus_size`, which names them 'utterances' and 'frames', and an
+    utterance of the range's maximum length, with every frame confused,
+    may need at most MAX_UTTERANCE_DRAWS draws.
     """
     lo, hi = check_corpus_size(num_utterances, frames_range)
     classes = hmm.max_class + 1
     if classes < 2:
         raise ValidationError("corpus generation needs at least 2 classes")
+    row_draws = 0 if math.isinf(noise.concentration) else classes
+    utt_draws = 1 + hi + hi * (2 + row_draws)  # with every frame confused
+    if utt_draws > MAX_UTTERANCE_DRAWS:
+        raise ValidationError(
+            f"field 'frames' allows at most {MAX_UTTERANCE_DRAWS} draws per utterance; "
+            f"{hi} frames of {classes} classes need {utt_draws}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     init_cum = list(itertools.accumulate(np.exp(hmm.log_initial).tolist()))
     trans_cum = [list(itertools.accumulate(row)) for row in np.exp(hmm.log_transitions).tolist()]
     state_class = hmm.state_to_class.tolist()
     rate = noise.confusion_rate
-    row_draws = 0 if math.isinf(noise.concentration) else classes
-    utt_draws = 1 + hi + hi * (2 + row_draws)  # with every frame confused
     block = max(1, _BLOCK_DRAWS // utt_draws)
     utts = []
     for first in range(0, num_utterances, block):

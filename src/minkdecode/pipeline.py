@@ -1,8 +1,11 @@
 """The decode pipeline behind the CLI: experiments, reports and curve charts.
 
-`decode_tokens` is the single-file path: transform, log scores, Viterbi;
-`check_posterior_fit` refuses a posterior file that does not fit its HMM or
-priors and `load_reference` an empty reference, each naming the file at fault.
+`decode_tokens` is the one decode route, for one file (`decode`) and for a
+corpus (`experiment`): it scores consecutive matrices in chunks of at most
+CHUNK_ENTRIES entries, one transform and one log-score call per chunk, and
+runs Viterbi per file. `check_posterior_fit` refuses a posterior file that
+does not fit its HMM or priors and `load_reference` an empty reference,
+each naming the file at fault.
 `read_config` checks an experiment config, and `run_experiment` decodes the
 corpus at each order and returns the report document: the config echo and
 each order's pooled WER and reduction against order 2. Each order's decode
@@ -18,6 +21,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +29,8 @@ from . import dataio
 from .decoder import HmmModel, viterbi_decode
 from .errors import DataFormatError, ValidationError
 from .minkowski import LossOrder, transform_values
-from .posteriors import PosteriorMatrix, to_log_scores, transform_matrix
+from .posteriors import (PosteriorMatrix, split_rows, stack_rows, to_log_scores,
+                         transform_matrix)
 from .scoring import WerReport, corpus_wer
 
 DEFAULT_ORDERS = (2, 4, 6)
@@ -35,10 +40,49 @@ DEFAULT_ORDERS = (2, 4, 6)
 # decoding and WER
 # ---------------------------------------------------------------------------
 
-def decode_tokens(matrix: PosteriorMatrix, hmm: HmmModel, order: int, priors) -> tuple[str, ...]:
-    """Token sequence decoded from one posterior matrix at one order."""
-    logs = to_log_scores(transform_matrix(matrix, order), priors)
-    return viterbi_decode(logs, hmm).token_sequence
+# Entries scored by one transform call, 32 KiB per float64 array: stacking
+# many short files saves per-call overhead, while a bounded chunk keeps
+# memory flat. A file this large or larger is a chunk of its own.
+CHUNK_ENTRIES = 4096
+
+
+def decode_tokens(matrices: Sequence[PosteriorMatrix], hmm: HmmModel, order: int,
+                  priors) -> list[tuple[str, ...]]:
+    """The token sequence decoded from each posterior matrix at one order, in input order.
+
+    Consecutive matrices of one class count are scored together in chunks
+    of at most CHUNK_ENTRIES entries (a larger matrix alone, as it is):
+    `stack_rows`, one `transform_matrix` and one `to_log_scores` call, then
+    `split_rows` and one `viterbi_decode` per matrix. The transform acts on
+    each entry and each row on its own, so every matrix gets the scores,
+    bit for bit, that it would get alone. An error in a chunk is raised
+    again as the chunk's first failing matrix raises it alone, so a
+    zero-sum row is named by its index in its own matrix.
+    """
+    decoded = []
+    for chunk in _chunks(matrices):
+        try:
+            logs = to_log_scores(transform_matrix(stack_rows(chunk), order), priors)
+        except ValidationError:
+            for matrix in chunk:  # raises as the first failing matrix does alone
+                to_log_scores(transform_matrix(matrix, order), priors)
+            raise
+        for scores in split_rows(logs, [m.frames for m in chunk]):
+            decoded.append(viterbi_decode(scores, hmm).token_sequence)
+    return decoded
+
+
+def _chunks(matrices: Sequence[PosteriorMatrix]):
+    """Runs of consecutive matrices of one class count, CHUNK_ENTRIES entries at most unless one."""
+    chunk, entries = [], 0
+    for m in matrices:
+        if chunk and (m.classes != chunk[0].classes or entries + m.values.size > CHUNK_ENTRIES):
+            yield chunk
+            chunk, entries = [], 0
+        chunk.append(m)
+        entries += m.values.size
+    if chunk:
+        yield chunk
 
 
 def check_posterior_fit(matrix: PosteriorMatrix, path, hmm: HmmModel,
@@ -184,18 +228,17 @@ def run_experiment(config: ExperimentConfig, base_dir: Path) -> tuple[dict, list
         (dataio.load_posteriors(u.posteriors_path), load_reference(u.reference_path))
         for u in manifest.utterances
     ]
-    for u, (matrix, _) in zip(manifest.utterances, loaded):
+    matrices = [matrix for matrix, _ in loaded]
+    refs = [ref for _, ref in loaded]
+    for u, matrix in zip(manifest.utterances, matrices):
         check_posterior_fit(matrix, u.posteriors_path, hmm, priors, priors_path)
     entries = []
     seconds = []
     for order in config.orders:
         start = time.perf_counter()
-        pairs = [
-            (ref, decode_tokens(matrix, hmm, order, priors))
-            for matrix, ref in loaded
-        ]
+        hyps = decode_tokens(matrices, hmm, order, priors)
         seconds.append(time.perf_counter() - start)
-        entries.append({"order": order, **wer_json(corpus_wer(pairs))})
+        entries.append({"order": order, **wer_json(corpus_wer(zip(refs, hyps)))})
 
     order2_wer = next((e["wer"] for e in entries if e["order"] == 2), None)
     for e in entries:

@@ -13,6 +13,12 @@ Both matrix types check their shape and entries in one shared base (one
 pass over the entries: in [0, 1] for posteriors, finite for log scores).
 `transform_matrix` and `to_log_scores` wrap their outputs without it
 (`_Matrix._unchecked`): computed from a checked matrix, they pass by construction.
+So do `stack_rows`, which joins the rows of several posterior matrices of
+one class count into one, and `split_rows`, which cuts a log-score matrix
+back into read-only views of consecutive rows: together they let a
+caller score many small matrices with one call of each kernel. The
+kernels act on each entry, or each row, on its own, so a row's scores do
+not depend on the rows stacked with it.
 `numeric_array` is the one rule for what counts as an array of numbers,
 `check_row_sums` the one row-sum check and `floored_log` the one log
 with exact zeros at LOG_FLOOR, all also used by `HmmModel`.
@@ -21,7 +27,8 @@ with exact zeros at LOG_FLOOR, all also used by `HmmModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
+from typing import Sequence
 
 import numpy as np
 
@@ -68,17 +75,23 @@ class _Matrix:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def _unchecked(cls, arr: np.ndarray, source: PosteriorMatrix):
-        """A kernel's fresh output, shaped as its checked `source`, wrapped read-only.
+    def _unchecked(cls, arr: np.ndarray):
+        """arr, built from checked matrices of the type its caller requires, wrapped read-only.
 
-        Its entries pass by construction. `transform_matrix` divides each x of a row by
+        Its shape and entries pass by construction, so neither is checked and
+        arr is not copied.
+        `transform_matrix` keeps its source's shape and divides each x of a row by
         the row's sum s, where 0 <= x <= s (`transform_values` keeps [0, 1], and a float
         sum of nonnegative terms is no less than any term), so x / s lies in [0, 1].
-        `to_log_scores` logs entries in [0, 1]: zeros become LOG_FLOOR, the rest finite
-        logs, less the finite logs of priors checked finite and > 0.
+        `to_log_scores` keeps its source's shape and logs entries in [0, 1]: zeros
+        become LOG_FLOOR, the rest finite logs, less the finite logs of priors
+        checked finite and > 0.
+        `stack_rows` joins the rows of one or more posterior matrices of one class
+        count: every row is a checked row, there is at least one, and each has the
+        >= 2 classes of its matrix.
+        `split_rows` cuts blocks of >= 1 consecutive rows out of a log-score matrix:
+        each block's entries are entries of that matrix, with its class count.
         """
-        if not isinstance(source, PosteriorMatrix):
-            raise ValidationError(f"expected a PosteriorMatrix, got {type(source).__name__}")
         arr.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "values", arr)
@@ -127,12 +140,13 @@ def transform_matrix(p: PosteriorMatrix, order) -> PosteriorMatrix:
     magnitudes. A row that sums to zero cannot be rescaled and is refused.
     `transform_values` is the unscaled kernel.
     """
+    _require(p, PosteriorMatrix)
     out = transform_values(p.values, order)
     sums = out.sum(axis=1)
     if not sums.all():
         raise ValidationError(f"row {(sums == 0.0).argmax()} sums to zero; cannot renormalize")
     out /= sums[:, None]
-    return PosteriorMatrix._unchecked(out, p)
+    return PosteriorMatrix._unchecked(out)
 
 
 def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
@@ -141,6 +155,7 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
     Exact zeros map to LOG_FLOOR. Priors must be strictly positive and one
     per class.
     """
+    _require(p, PosteriorMatrix)
     logs = floored_log(p.values)
     if priors is not None:
         pr = numeric_array(priors, "priors")
@@ -152,7 +167,44 @@ def to_log_scores(p: PosteriorMatrix, priors=None) -> LogScoreMatrix:
         if not np.isfinite(pr).all() or (pr <= 0.0).any():
             raise ValidationError("priors must be finite and > 0")
         logs -= np.log(pr)
-    return LogScoreMatrix._unchecked(logs, p)
+    return LogScoreMatrix._unchecked(logs)
+
+
+def stack_rows(matrices: Sequence[PosteriorMatrix]) -> PosteriorMatrix:
+    """The rows of one or more posterior matrices of one class count, in order, as one matrix.
+
+    One matrix is returned as it is; more are joined into a new array.
+    """
+    for m in matrices:
+        _require(m, PosteriorMatrix)
+    if len({m.classes for m in matrices}) != 1:
+        raise ValidationError("stack_rows needs one or more matrices of one class count")
+    if len(matrices) == 1:
+        return matrices[0]
+    return PosteriorMatrix._unchecked(np.concatenate([m.values for m in matrices]))
+
+
+def split_rows(scores: LogScoreMatrix, frames: Sequence[int]) -> list[LogScoreMatrix]:
+    """scores cut into consecutive blocks of frames[0], frames[1], ... rows, as read-only views.
+
+    Every count must be >= 1 and the counts must add up to scores.frames.
+    One block is scores itself.
+    """
+    _require(scores, LogScoreMatrix)
+    if min(frames, default=0) < 1 or sum(frames) != scores.frames:
+        raise ValidationError(
+            f"split_rows needs counts >= 1 that add up to {scores.frames}, got {list(frames)}"
+        )
+    if len(frames) == 1:
+        return [scores]
+    return [LogScoreMatrix._unchecked(scores.values[end - n:end])
+            for n, end in zip(frames, accumulate(frames))]
+
+
+def _require(value, kind: type) -> None:
+    """Refuse value unless it is a kind instance, whose checks an unchecked output relies on."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"expected a {kind.__name__}, got {type(value).__name__}")
 
 
 def numeric_array(values, name: str) -> np.ndarray:

@@ -479,13 +479,15 @@ class TestExperimentCommand:
         (None, "report", "", "report"),
         ("corpus", "dir", "", "corpus.dir"),
         (None, "corpus", {"manifest": ""}, "corpus.manifest"),
+        ("noise", "concentration", 1e308, "noise.concentration"),
     ], ids=["renormalize", "renormalize-false", "orders", "utterances", "frames", "noise-seed",
             "noise-concentration", "noise-missing-key", "noise-list", "noise-string",
             "hmm-path", "priors-path", "report-path", "dir-path", "manifest-path",
             "odd-order", "hmm-missing", "dir-missing", "frames-length", "utterances-zero",
             "frames-reversed", "corpus-unknown-key", "noise-unknown-key",
             "manifest-with-generation", "orders-empty", "orders-repeated", "hmm-empty",
-            "priors-empty", "report-empty", "dir-empty", "manifest-empty"])
+            "priors-empty", "report-empty", "dir-empty", "manifest-empty",
+            "noise-concentration-overflow"])
     def test_config_values_are_not_coerced(self, tmp_path, demo_hmm, capsys,
                                            section, key, value, field):
         path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
@@ -665,10 +667,13 @@ ODD_ORDER = "order 3 is odd: its expected-loss gradient has complex roots"
     (["synth", "--frames", "5:2"], "frames range must satisfy 1 <= lo <= hi, got (5, 2)"),
     (["synth", "--utterances", "0"], "field 'utterances' must be >= 1, got 0"),
     (["synth", "--concentration", "-1"], "field 'noise.concentration' must be > 0, got -1.0"),
+    (["synth", "--concentration", "1e308"],
+     "field 'noise.concentration' must be at most 1e+300 or inf, got 1e+308"),
     (["synth", "--confusion-rate", "2"], "field 'noise.confusion_rate' must be in [0, 1], got 2.0"),
     (["synth", "--seed", "-1"], "field 'noise.seed' must fit in 64 bits"),
 ], ids=["transform-order", "decode-order", "synth-frames", "synth-utterances",
-        "synth-concentration", "synth-confusion-rate", "synth-seed"])
+        "synth-concentration", "synth-concentration-overflow", "synth-confusion-rate",
+        "synth-seed"])
 def test_argument_values_checked_before_files_are_read(tmp_path, capsys, monkeypatch,
                                                        argv, reason):
     # None of the named input files exists: reading one first would exit 3.
@@ -678,6 +683,24 @@ def test_argument_values_checked_before_files_are_read(tmp_path, capsys, monkeyp
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert f"error: {reason}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+def test_unallocatable_frames_range_refused_before_files_are_written(tmp_path, demo_hmm, capsys,
+                                                                    command):
+    # The generator sizes each utterance's draws by the range maximum: 48 TiB here.
+    if command == "synth":
+        argv = ["synth", "--hmm", str(demo_hmm), "--frames", f"2:{2**40}",
+                "--out", str(tmp_path / "corpus")]
+    else:
+        argv = ["experiment", str(experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3,
+                                                    frames=(2, 2**40)))]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: field 'frames' allows at most 1048576 draws per utterance; "
+        "1099511627776 frames of 3 classes need 6597069766657\n")
+    assert not (tmp_path / "corpus").exists()
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["decode", "experiment"])

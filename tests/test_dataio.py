@@ -361,6 +361,17 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError, match=f"field 'noise.{field}'"):
             NoiseSpec(concentration, confusion_rate, seed)
 
+    def test_concentration_bound(self):
+        # Weights are below 37, so the largest accepted concentration cannot overflow them.
+        assert -math.log1p(-(1.0 - 2.0**-53)) < 37.0
+        assert 37.0 * dataio.MAX_CONCENTRATION < 4e301
+        assert NoiseSpec(dataio.MAX_CONCENTRATION, 0.3, 1).concentration == 1e300
+        assert NoiseSpec(math.inf, 0.3, 1).concentration == math.inf
+        for value in (math.nextafter(1e300, math.inf), 1e308, np.finfo(np.float64).max):
+            with pytest.raises(ValidationError, match=r"^field 'noise.concentration' must be "
+                               r"at most 1e\+300 or inf, got "):
+                NoiseSpec(value, 0.3, 1)
+
     def test_stores_floats(self, tmp_path, rng):
         # An integer JSON concentration must write the same manifest as a float one.
         hmm = make_random_hmm(rng, 2)
@@ -514,6 +525,25 @@ class TestGenerateCorpus:
             generate_corpus(make_random_hmm(rng, 2), num_utterances, frames_range, noise,
                             tmp_path / "e")
         assert not (tmp_path / "e").exists()
+
+    def test_largest_accepted_concentration_gives_valid_rows(self, tmp_path, rng):
+        noise = NoiseSpec(concentration=dataio.MAX_CONCENTRATION, confusion_rate=0.3, seed=2)
+        manifest = generate_corpus(make_random_hmm(rng, 3), 4, (5, 9), noise, tmp_path / "c")
+        for utt in manifest.utterances:
+            m = load_posteriors(utt.posteriors_path)  # validates entries and row sums
+            assert (m.values.max(axis=1) == 1.0).all()
+
+    def test_draws_per_utterance_capped(self, tmp_path, rng, monkeypatch):
+        # At 3 classes a range maximum hi needs 1 + hi + hi * (2 + 3) draws, 3 * hi + 1 one-hot.
+        hmm = make_random_hmm(rng, 3)
+        monkeypatch.setattr(dataio, "MAX_UTTERANCE_DRAWS", 61)
+        noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)
+        generate_corpus(hmm, 2, (5, 10), noise, tmp_path / "ok")
+        with pytest.raises(ValidationError, match=r"^field 'frames' allows at most 61 draws "
+                           r"per utterance; 11 frames of 3 classes need 67$"):
+            generate_corpus(hmm, 2, (5, 11), noise, tmp_path / "e")
+        assert not (tmp_path / "e").exists()
+        generate_corpus(hmm, 2, (5, 20), NoiseSpec(math.inf, 0.0, 0), tmp_path / "one-hot")
 
     def test_needs_two_classes(self, tmp_path, rng):
         noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)
