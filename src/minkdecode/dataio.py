@@ -16,7 +16,9 @@ save -> load round-trips are exact):
   noise parameters. Unknown keys are rejected.
 
 `read_text` is the one reader for every text file the program reads, and
-`write_text` the one writer for every file the program writes. A
+`write_text` the one writer for every file the program writes. Both use
+raw file descriptors (`os.open`, `os.read`, `os.write`), not file objects,
+and an OSError from either names the file. A
 regular file that already holds exactly the bytes to be written is left
 untouched: a rerun with the same inputs keeps the file's inode and mtime,
 and an identical read-only file is not an error. Any other target (missing,
@@ -29,8 +31,11 @@ for the objects in them, and `json_field` the one type check for their fields.
 
 The corpus generator simulates an acoustic model's posteriors along a state
 path sampled from the HMM. Randomness comes from SplitMix64, a named
-64-bit generator with defined behavior, so corpora are byte-reproducible
-across platforms (and reimplementable in any language).
+64-bit generator with defined integer arithmetic, so the draws are the same
+on every platform. The corpus bytes are tested to be reproducible only with
+the same numpy SIMD level and a libm whose `log1p` rounds as glibc 2.36
+does (`tests/test_corpus_digests.py`): `math.log1p` is not correctly
+rounded everywhere.
 
 SplitMix64 is counter-based: draw k of the stream seeded with s is a fixed
 mix of s + k*gamma. `splitmix64_doubles` therefore computes many draws of
@@ -88,12 +93,48 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 
+# os.O_BINARY exists only on Windows, where it stops newline translation.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+# Bytes asked of one os.read, below glibc's default mmap threshold (128 KiB):
+# the buffer comes from the heap and is cut down to the bytes read. Larger
+# requests are mapped, which raises that threshold: with 1 MiB reads, RSS
+# after 8 in-process demo_k3 experiments read 46.5 MB, against 43.1 MB with
+# 64 KiB reads and 44.5 MB with file objects.
+_READ_SIZE = 1 << 16
+
+
+def _naming(exc: OSError, path) -> OSError:
+    """exc with path as its file name: os.read, os.write and os.close name none."""
+    return OSError(exc.errno, exc.strerror, os.fspath(path))
+
+
+def _read_bytes(path) -> bytes:
+    """Every byte of the file at path, read through a raw descriptor until end of file."""
+    fd = os.open(path, _READ_FLAGS)
+    chunks = []
+    try:
+        try:
+            while chunk := os.read(fd, _READ_SIZE):  # a short read is not the end
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as exc:  # a directory opens, then its read fails with EISDIR
+        raise _naming(exc, path) from None
+    return b"".join(chunks)
+
+
 def read_text(path) -> str:
     """The UTF-8 text of the file at path, newlines as they are.
 
+    The bytes come through a raw descriptor (`os.open` and `os.read`, no
+    file object and no buffer of its own), looping until a read returns
+    nothing. An OSError names path, as `open` would, also where `os.read`
+    fails: a directory, say, opens and then fails to read with EISDIR.
     A byte that is not UTF-8 is a DataFormatError at line 1 + the newlines before it.
     """
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -105,19 +146,29 @@ def write_text(path, text: str) -> None:
 
     Newlines are written as given. Truncating and rewriting an existing file
     costs far more than reading it back, so a regular file of the same size
-    is compared first and left alone when its bytes are equal.
+    is compared first and left alone when its bytes are equal. The target
+    is stat'ed before it is opened, so a FIFO or device is never read. Reads
+    and writes go through raw descriptors (`os.open`, `os.read`, `os.write`),
+    a short write is followed by a write of the rest, and an OSError names
+    path.
     """
     data = text.encode("utf-8")
     try:
         st = os.stat(path)
-        if stat.S_ISREG(st.st_mode) and st.st_size == len(data):
-            with open(path, "rb") as f:
-                if f.read() == data:
-                    return
+        if stat.S_ISREG(st.st_mode) and st.st_size == len(data) and _read_bytes(path) == data:
+            return
     except OSError:
         pass  # missing or unreadable: the write below succeeds or says why
-    with open(path, "wb") as f:
-        f.write(data)
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _naming(exc, path) from None
 
 
 _FLOAT_FORMAT = "%.17g"
@@ -217,18 +268,32 @@ def save_posteriors(matrix: PosteriorMatrix, path) -> None:
     """Write the matrix in the posterior format, all values in one format call.
 
     A row whose sum `load_posteriors` would refuse is refused here, before
-    anything is written.
+    anything is written. The rows of a `_BlockRows` are not checked again.
     """
-    bad = check_row_sums(matrix.values)
-    if bad is not None:
-        raise ValidationError(
-            f"row {bad} sums to {float(matrix.values[bad].sum())!r}, "
-            f"expected 1 within {ROW_SUM_TOLERANCE}"
-        )
+    if not isinstance(matrix, _BlockRows):
+        bad = check_row_sums(matrix.values)
+        if bad is not None:
+            raise _row_sum_error(f"row {bad}", matrix.values[bad])
     row = " ".join([_FLOAT_FORMAT] * matrix.classes)
     template = "\n".join([f"{matrix.frames} {matrix.classes}"] + [row] * matrix.frames)
     text = template % tuple(matrix.values.ravel().tolist())
     write_text(path, text + "\n")
+
+
+class _BlockRows(PosteriorMatrix):
+    """One utterance's rows, cut from a block whose row sums `generate_corpus` has checked.
+
+    Checking each utterance's rows again in `save_posteriors` cost 7% of a
+    demo_k3-shaped `generate_corpus` call, so the check is skipped for this
+    private type only: the public `save_posteriors` checks every other matrix.
+    """
+
+
+def _row_sum_error(row: str, values: np.ndarray) -> ValidationError:
+    """The refusal of the row called row, whose entries are values."""
+    return ValidationError(
+        f"{row} sums to {float(values.sum())!r}, expected 1 within {ROW_SUM_TOLERANCE}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +504,13 @@ _BLOCK_DRAWS = 1 << 14
 # that allows utterances of up to 45590 frames.
 MAX_UTTERANCE_DRAWS = 1 << 20
 
+# Utterances one corpus may hold. Each is two files and a manifest entry
+# that stays in memory until the manifest is written, so a million makes two
+# million files and a manifest of about 110 MB: far past any corpus this
+# pipeline scores in one experiment, yet an unbounded count keeps writing
+# files until the disk is full.
+MAX_UTTERANCES = 10**6
+
 _U64_MASK = (1 << 64) - 1  # a seed + i that passes 2**64 wraps
 
 
@@ -493,12 +565,16 @@ def _posterior_rows(draws: np.ndarray, centers: list[int], starts: list[int],
 
 
 def check_corpus_size(utterances, frames, frames_name: str = "field 'frames'") -> tuple[int, int]:
-    """frames as (lo, hi) if utterances is an int >= 1 and frames two ints with 1 <= lo <= hi.
+    """frames as (lo, hi) if utterances is an int in [1, MAX_UTTERANCES] and frames two
+    ints with 1 <= lo <= hi.
 
     Nothing is converted. A range out of order is called frames_name.
     """
     if json_field(utterances, int, "utterances") < 1:
         raise ValidationError(f"field 'utterances' must be >= 1, got {utterances!r}")
+    if utterances > MAX_UTTERANCES:
+        raise ValidationError(
+            f"field 'utterances' must be at most {MAX_UTTERANCES}, got {utterances!r}")
     if not isinstance(frames, (list, tuple)) or len(frames) != 2:
         raise ValidationError(f"field 'frames' must be [lo, hi], got {frames!r}")
     lo, hi = (json_field(bound, int, "frames") for bound in frames)
@@ -530,6 +606,11 @@ def generate_corpus(
     `check_corpus_size`, which names them 'utterances' and 'frames', and an
     utterance of the range's maximum length, with every frame confused,
     may need at most MAX_UTTERANCE_DRAWS draws.
+
+    Utterances are made in blocks of about _BLOCK_DRAWS draws. A block's
+    rows are checked once, as one `PosteriorMatrix` and by one
+    `check_row_sums` call, before any of its files is written; a bad row
+    is named by its utterance and its row there.
     """
     lo, hi = check_corpus_size(num_utterances, frames_range)
     classes = hmm.max_class + 1
@@ -570,15 +651,22 @@ def generate_corpus(
                 starts.append(offset + pos + 1)
                 pos += 1 + row_draws
             paths.append(states)
-        rows = _posterior_rows(draws, centers, starts, classes, noise.concentration)
-        end = 0
-        for i, states in zip(ids, paths):
-            start, end = end, end + len(states)
+        # One check of the block's rows, before any of its files is written.
+        rows = PosteriorMatrix(
+            _posterior_rows(draws, centers, starts, classes, noise.concentration)).values
+        bad = check_row_sums(rows)
+        ends = list(itertools.accumulate(map(len, paths)))
+        if bad is not None:
+            j = bisect.bisect_right(ends, bad)
+            first_row = ends[j] - len(paths[j])
+            raise _row_sum_error(f"utterance utt{ids[j]:04d} row {bad - first_row}", rows[bad])
+        for i, states, end in zip(ids, paths, ends):
+            start = end - len(states)
             reference = collapse_tokens([hmm.state_labels[s] for s in states])
             uid = f"utt{i:04d}"
             post_path = out_dir / f"{uid}.post"
             ref_path = out_dir / f"{uid}.ref"
-            save_posteriors(PosteriorMatrix(rows[start:end]), post_path)
+            save_posteriors(_BlockRows._unchecked(rows[start:end]), post_path)
             save_transcript(reference, ref_path)
             utts.append(CorpusUtterance(uid, post_path, ref_path))
     # Every file lies beside the manifest, so its name is its path from there.

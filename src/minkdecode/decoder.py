@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from itertools import groupby
+from typing import Iterable
 
 import numpy as np
 
@@ -153,13 +154,9 @@ class DecodingResult:
     log_score: float
 
 
-def collapse_tokens(labels: Sequence[str]) -> tuple[str, ...]:
+def collapse_tokens(labels: Iterable[str]) -> tuple[str, ...]:
     """Merge consecutive identical labels into one token."""
-    out: list[str] = []
-    for lab in labels:
-        if not out or out[-1] != lab:
-            out.append(lab)
-    return tuple(out)
+    return tuple([label for label, _ in groupby(labels)])
 
 
 def _emissions(scores: LogScoreMatrix, hmm: HmmModel) -> np.ndarray:
@@ -171,10 +168,10 @@ def _emissions(scores: LogScoreMatrix, hmm: HmmModel) -> np.ndarray:
     return scores.values[:, hmm.state_to_class]
 
 
-def _result(path, log_score: float, hmm: HmmModel) -> DecodingResult:
-    path_t = tuple(int(s) for s in path)
-    tokens = collapse_tokens([hmm.state_labels[s] for s in path_t])
-    return DecodingResult(path_t, tokens, float(log_score))
+def _result(path: list[int], log_score: float, hmm: HmmModel) -> DecodingResult:
+    """The result for a state path of Python ints, as `viterbi_decode` builds it."""
+    tokens = collapse_tokens(map(hmm.state_labels.__getitem__, path))
+    return DecodingResult(tuple(path), tokens, float(log_score))
 
 
 # Largest state count that takes the scalar forward pass. A sweep at
@@ -202,18 +199,19 @@ def viterbi_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
     # max returns the first maximal state, as argmax does.
     state = max(range(len(delta)), key=delta.__getitem__)
     log_score = delta[state]
-    path = [state] * len(backptr)
-    for t in range(len(backptr) - 1, 0, -1):
-        state = backptr[t][state]
-        path[t - 1] = state
+    path = [state]
+    for prev in reversed(backptr):
+        state = prev[state]
+        path.append(state)
+    path.reverse()
     return _result(path, log_score, hmm)
 
 
 def _scalar_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
     """Forward pass in Python floats: no numpy call per frame.
 
-    Returns the last frame's scores and, per frame t, each state's best
-    predecessor (row 0 unused). Candidate i for state j is
+    Returns the last frame's scores and, for each frame t after the first,
+    each state's best predecessor at frame t - 1. Candidate i for state j is
     delta[i] + trans[i][j], the strict `>` keeps the lowest index among
     equal ones, and the winner then adds the emission, as in `_array_forward`.
     """
@@ -221,7 +219,7 @@ def _scalar_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
     initial, into = hmm._scalar_tables
     rest = range(1, len(into))
     delta = [a + b for a, b in zip(initial, rows[0])]
-    backptr = [[0] * len(into)]
+    backptr = []
     for row in rows[1:]:
         nxt = []
         prev = []
@@ -251,11 +249,11 @@ def _array_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
     cand = flat.reshape(num_states, num_states)
     row_start = np.arange(0, num_states * num_states, num_states)
     best = np.empty(num_states, dtype=np.intp)
-    backptr = np.zeros((num_frames, num_states), dtype=np.intp)
+    backptr = np.empty((num_frames - 1, num_states), dtype=np.intp)
     delta = hmm.log_initial + emis[0]
     for t in range(1, num_frames):
         np.add(trans_t, delta, out=cand)
-        prev = backptr[t]
+        prev = backptr[t - 1]
         cand.argmax(1, out=prev)  # first max = lowest index
         np.add(row_start, prev, out=best)
         delta = flat.take(best) + emis[t]

@@ -91,6 +91,8 @@ class _Matrix:
         >= 2 classes of its matrix.
         `split_rows` cuts blocks of >= 1 consecutive rows out of a log-score matrix:
         each block's entries are entries of that matrix, with its class count.
+        `dataio.generate_corpus` cuts each utterance's >= 1 rows out of a checked
+        posterior matrix that holds its block of utterances.
         """
         arr.setflags(write=False)
         out = object.__new__(cls)

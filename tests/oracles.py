@@ -379,7 +379,7 @@ def exhaustive_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
             best_score = float(tot[j])
             best_path = np.array([s[j] for s in states], dtype=np.int64)
     assert best_path is not None
-    return _result(best_path, best_score, hmm)
+    return _result(best_path.tolist(), best_score, hmm)
 
 
 def score_path(path: Sequence[int], scores: LogScoreMatrix, hmm: HmmModel) -> float:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -701,6 +702,74 @@ def test_unallocatable_frames_range_refused_before_files_are_written(tmp_path, d
         "1099511627776 frames of 3 classes need 6597069766657\n")
     assert not (tmp_path / "corpus").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+def test_utterance_count_above_bound_refused_before_files_are_written(tmp_path, demo_hmm, capsys,
+                                                                      command):
+    # Unbounded, such a count writes corpus files until the disk is full.
+    count = 2**63
+    if command == "synth":
+        argv = ["synth", "--hmm", str(demo_hmm), "--utterances", str(count),
+                "--out", str(tmp_path / "corpus")]
+        where = ""
+    else:
+        argv = ["experiment", str(experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3,
+                                                    utterances=count))]
+        where = "config "
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {where}field 'utterances' must be at most 1000000, got {count}\n")
+    assert not (tmp_path / "corpus").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+# Root reads and writes files whatever their permission bits say.
+AS_USER = pytest.mark.skipif(getattr(os, "geteuid", lambda: 1)() == 0,
+                             reason="permission bits do not bind root")
+
+
+def io_error(code: int, path) -> str:
+    """What `cli.main` prints for an OSError with errno code that names path."""
+    return f"i/o error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+
+
+@pytest.mark.parametrize("case, code", [
+    ("missing", errno.ENOENT),
+    ("directory", errno.EISDIR),
+    pytest.param("unreadable", errno.EACCES, marks=AS_USER),
+])
+def test_unreadable_input_is_an_io_error_naming_it(tmp_path, demo_hmm, capsys, case, code):
+    post = tmp_path / "in.post"
+    if case == "directory":
+        post.mkdir()
+    elif case == "unreadable":
+        write_posteriors(post, [[0.5, 0.3, 0.2]])
+        post.chmod(0)
+    out = tmp_path / "hyp.txt"
+    assert cli.main(["decode", str(post), "--hmm", str(demo_hmm), "--out", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == io_error(code, post)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, code", [
+    ("missing-directory", errno.ENOENT),
+    ("directory", errno.EISDIR),
+    pytest.param("read-only", errno.EACCES, marks=AS_USER),
+])
+def test_unwritable_output_is_an_io_error_naming_it(tmp_path, demo_hmm, capsys, case, code):
+    post = tmp_path / "in.post"
+    write_posteriors(post, [[0.5, 0.3, 0.2]])
+    out = tmp_path / "hyp.txt"
+    if case == "missing-directory":
+        out = tmp_path / "missing" / "hyp.txt"
+    elif case == "directory":
+        out.mkdir()
+    else:
+        out.write_text("another size\n")
+        out.chmod(0o444)
+    assert cli.main(["decode", str(post), "--hmm", str(demo_hmm), "--out", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == io_error(code, out)
 
 
 @pytest.mark.parametrize("command", ["decode", "experiment"])

@@ -1,4 +1,4 @@
-import builtins
+import errno
 import itertools
 import json
 import math
@@ -545,6 +545,38 @@ class TestGenerateCorpus:
         assert not (tmp_path / "e").exists()
         generate_corpus(hmm, 2, (5, 20), NoiseSpec(math.inf, 0.0, 0), tmp_path / "one-hot")
 
+    def test_utterance_count_capped(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(dataio, "MAX_UTTERANCES", 3)
+        hmm = make_random_hmm(rng, 2)
+        noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)
+        assert len(generate_corpus(hmm, 3, (2, 3), noise, tmp_path / "ok").utterances) == 3
+        with pytest.raises(ValidationError, match=r"^field 'utterances' must be at most 3, got 4$"):
+            generate_corpus(hmm, 4, (2, 3), noise, tmp_path / "e")
+        assert not (tmp_path / "e").exists()
+
+    def test_bad_row_refuses_its_block_before_any_file_of_it(self, tmp_path, rng, monkeypatch):
+        # At 3 classes an utterance of 4 frames needs 1 + 4 + 4 * (2 + 3) = 25 draws,
+        # so blocks of 50 draws hold utterances 0-1, 2-3 and 4-5.
+        monkeypatch.setattr(dataio, "_BLOCK_DRAWS", 50)
+        real_rows = dataio._posterior_rows
+        blocks = []
+
+        def skewed(*args):
+            rows = real_rows(*args)
+            blocks.append(len(rows))
+            if len(blocks) == 2:
+                rows[-1] *= 1.0 - 1e-3  # utterance 3's last row, entries still in [0, 1]
+            return rows
+
+        monkeypatch.setattr(dataio, "_posterior_rows", skewed)
+        out = tmp_path / "c"
+        with pytest.raises(ValidationError, match=r"^utterance utt0003 row 3 sums to 0\.99"
+                           r"\d*, expected 1 within 1e-06$"):
+            generate_corpus(make_random_hmm(rng, 3), 6, (4, 4), NoiseSpec(5.0, 0.3, 1), out)
+        assert blocks == [8, 8]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "utt0000.post", "utt0000.ref", "utt0001.post", "utt0001.ref"]
+
     def test_needs_two_classes(self, tmp_path, rng):
         noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)
         with pytest.raises(ValidationError, match="at least 2 classes"):
@@ -563,17 +595,28 @@ class TestFormatFloat:
 OLD_NS = 1_000_000_000  # an mtime no write made during a test can have
 
 
+WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
 @pytest.fixture
 def opens(monkeypatch):
-    """(path, mode) of every call of the builtin open made during the test."""
+    """(path, mode) of every os.open call made during the test.
+
+    The mode is "rb" for a read-only open, "wb" for a truncating write that
+    creates a missing file, and the flags themselves for anything else.
+    """
     calls = []
-    real_open = builtins.open
+    real_open = os.open
 
-    def spy(file, mode="r", *args, **kwargs):
-        calls.append((str(file), mode))
-        return real_open(file, mode, *args, **kwargs)
+    def spy(path, flags, *args, **kwargs):
+        if not flags & (os.O_WRONLY | os.O_RDWR):
+            mode = "rb"
+        else:
+            mode = "wb" if flags & WRITE_FLAGS == WRITE_FLAGS else flags
+        calls.append((str(path), mode))
+        return real_open(path, flags, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(os, "open", spy)
     return calls
 
 
@@ -623,6 +666,13 @@ class TestWriteText:
             write_text(target, "")
         assert cli.main(["curves", "--grid-points", "3", "--out", str(target)]) == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_the_file(self):
+        # /dev/full opens for writing, then every write fails with ENOSPC.
+        with pytest.raises(OSError) as err:
+            write_text("/dev/full", "x\n")
+        assert (err.value.errno, err.value.filename) == (errno.ENOSPC, "/dev/full")
 
     def test_identical_read_only_file_is_not_an_error(self, tmp_path):
         p = backdated(tmp_path / "f.txt", b"same\n")
