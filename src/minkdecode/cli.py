@@ -44,7 +44,7 @@ EXIT_IO = 3
 
 def cmd_transform(args) -> int:
     order = LossOrder(args.order).value
-    matrix = dataio.load_posteriors(args.input)
+    matrix = dataio.load_posteriors(Path(args.input))
     out = transform_matrix(matrix, order)
     dataio.save_posteriors(out, args.out)
     return EXIT_OK
@@ -61,7 +61,7 @@ def cmd_curves(args) -> int:
 
 def cmd_decode(args) -> int:
     order = LossOrder(args.order).value
-    matrix = dataio.load_posteriors(args.posteriors)
+    matrix = dataio.load_posteriors(Path(args.posteriors))
     hmm = dataio.load_hmm(args.hmm)
     priors = dataio.load_priors(args.priors) if args.priors else None
     pipeline.check_posterior_fit(matrix, args.posteriors, hmm, priors, args.priors)

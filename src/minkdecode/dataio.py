@@ -191,7 +191,6 @@ def load_posteriors(path) -> PosteriorMatrix:
     `check_row_sums` and the entries by `PosteriorMatrix`. If any of that
     fails, `_raise_first_bad_line` walks the file to name the bad line.
     """
-    path = Path(path)
     lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(path, 1, "empty file; expected a 'frames classes' header")
@@ -228,7 +227,7 @@ def load_posteriors(path) -> PosteriorMatrix:
     _raise_first_bad_line(path, lines, classes)
 
 
-def _raise_first_bad_line(path: Path, lines: list[str], classes: int) -> NoReturn:
+def _raise_first_bad_line(path: str | os.PathLike, lines: list[str], classes: int) -> NoReturn:
     """Raise a DataFormatError naming the first data line that breaks the format.
 
     `load_posteriors` calls it only when its bulk checks of the rows failed.

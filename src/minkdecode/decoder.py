@@ -2,12 +2,16 @@
 
 `viterbi_decode` is the standard max-product dynamic program; ties prefer
 the lower state index at every decision. It has two exact forward passes
-and picks one by state count: up to SCALAR_MAX_STATES states a pure-Python
-float loop (`_scalar_forward`) that makes no numpy call per frame, above
-that a numpy frame loop (`_array_forward`) whose cost is mostly per-frame
-call overhead and grows slowly with K. Both add the same floats in the same
-order and keep the lowest index among equal candidates, so they give
-identical paths and scores; the final pick and the backtrace are shared.
+and picks one by state count. Up to SCALAR_MAX_STATES states it runs
+`_scalar_forward`, a straight-line kernel over Python floats that makes no
+numpy call per frame: `_scalar_kernel` generates its source from the state
+count K alone, with every state's score and transition entry a local
+variable, and compiles it once per process and K, so all models of K states
+share it. Above that it runs a numpy frame loop (`_array_forward`) whose
+cost is mostly per-frame call overhead and grows slowly with K. Both add
+the same floats in the same order and keep the lowest index among equal
+candidates, so they give identical paths and scores; the final pick and
+the backtrace are shared.
 
 Emission scores come from a LogScoreMatrix through the model's
 state-to-class column map (`_emissions`) and paths become results through
@@ -25,7 +29,7 @@ class index `max_class` and the scalar pass's tables (`_scalar_tables`);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby
 from typing import Iterable
 
@@ -174,12 +178,15 @@ def _result(path: list[int], log_score: float, hmm: HmmModel) -> DecodingResult:
     return DecodingResult(tuple(path), tokens, float(log_score))
 
 
-# Largest state count that takes the scalar forward pass. A sweep at
-# T 10-25 on a 2-vCPU host (one CPU, 40 alternating rounds of 100 calls)
-# put the crossover at K=7: the scalar pass was faster in 79 of 80 rounds at
-# K=6 (best round 55 against 62 us per call), slower in the best round at
-# K=7 (69-76 against 63-69 us), and it is 4-5x slower at K=20.
-SCALAR_MAX_STATES = 6
+# Largest state count that takes the scalar forward pass. A sweep of the
+# generated kernels at T 10-25 on a 2-vCPU host (one CPU, 40 alternating
+# rounds of 100 calls, run twice) put the crossover between K=11 and K=12:
+# the scalar pass was faster in 40 of 40 rounds at K=9 (best round 41
+# against 58 us per call) and in 39 of 40 twice at K=10 (46-48 against
+# 56-58 us), only in 37 and 33 of 40 at K=11 (57-63 against 59-64 us), in 1
+# and 24 of 40 at K=12, and it is 2.6x slower at K=20. Compiling a kernel
+# costs 0.5 ms at K=3 and 4 ms at K=10, once per process and state count.
+SCALAR_MAX_STATES = 10
 
 
 def viterbi_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
@@ -211,31 +218,58 @@ def _scalar_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
     """Forward pass in Python floats: no numpy call per frame.
 
     Returns the last frame's scores and, for each frame t after the first,
-    each state's best predecessor at frame t - 1. Candidate i for state j is
-    delta[i] + trans[i][j], the strict `>` keeps the lowest index among
-    equal ones, and the winner then adds the emission, as in `_array_forward`.
+    a tuple of each state's best predecessor at frame t - 1. Candidate i for
+    state j is delta[i] + trans[i][j], the strict `>` keeps the lowest index
+    among equal ones, and the winner then adds the emission, as in
+    `_array_forward`. The loop is `_scalar_kernel`'s, made for the state count.
     """
-    rows = emis.tolist()
     initial, into = hmm._scalar_tables
-    rest = range(1, len(into))
-    delta = [a + b for a, b in zip(initial, rows[0])]
-    backptr = []
-    for row in rows[1:]:
-        nxt = []
-        prev = []
-        for col, e in zip(into, row):
-            best = delta[0] + col[0]
-            arg = 0
-            for i in rest:
-                c = delta[i] + col[i]
-                if c > best:
-                    best = c
-                    arg = i
-            nxt.append(best + e)
-            prev.append(arg)
-        delta = nxt
-        backptr.append(prev)
-    return delta, backptr
+    return _scalar_kernel(len(into))(emis.tolist(), initial, into)
+
+
+@cache
+def _scalar_kernel(k: int):
+    """`forward(rows, initial, into)` for k states, compiled once per process and k.
+
+    The source is built from k alone, as `dataclasses` builds `__init__`: no
+    value of any model is in it, so every model of k states shares it.
+    """
+    namespace = {}
+    exec(_scalar_source(k), namespace)
+    return namespace["forward"]
+
+
+def _scalar_source(k: int) -> str:
+    """Straight-line source of the scalar forward pass for k states.
+
+    Each state's score is a local `d{i}` and each transition entry a local
+    `t{i}_{j}`; state j's candidates are tried in index order with a strict
+    `>`, so the additions, their order and the tie rule are the loop's.
+    """
+    def names(fmt: str) -> str:
+        return "".join(fmt.format(i) + ", " for i in range(k))
+
+    lines = [
+        "def forward(rows, initial, into):",
+        "    " + "".join(f"({names('t{}_' + str(j))}), " for j in range(k)) + "= into",
+        f"    {names('i{}')}= initial",
+        "    rows = iter(rows)",
+        f"    {names('e{}')}= next(rows)",
+        *(f"    d{i} = i{i} + e{i}" for i in range(k)),
+        "    backptr = []",
+        "    push = backptr.append",
+        f"    for {names('e{}')}in rows:",
+    ]
+    for j in range(k):
+        lines += [f"        b = d0 + t0_{j}", f"        p{j} = 0"]
+        for i in range(1, k):
+            lines += [f"        c = d{i} + t{i}_{j}", "        if c > b:",
+                      "            b = c", f"            p{j} = {i}"]
+        lines.append(f"        n{j} = b + e{j}")
+    lines.append(f"        push(({names('p{}')}))")
+    lines += [f"        d{i} = n{i}" for i in range(k)]
+    lines.append(f"    return [{names('d{}')}], backptr")
+    return "\n".join(lines) + "\n"
 
 
 def _array_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:

@@ -19,8 +19,10 @@ a route of its own and is checked against the code the pipeline runs:
   prefix sums differed, and the two may then return different paths of
   equal score; LOG_FLOOR entries make this much likelier.
 * `frozen_transform_values` and `frozen_floored_log` are earlier versions
-  of `minkowski.transform_values` and `posteriors.floored_log`, kept
-  verbatim; the rewritten kernels must give the same bits.
+  of `minkowski.transform_values` and `posteriors.floored_log`, and
+  `frozen_scalar_forward` the loop that `decoder._scalar_forward` ran
+  before its kernel was generated per state count, kept verbatim; the
+  rewritten kernels must give the same bits.
 * `SplitMix64` is the scalar generator whose draws
   `dataio.splitmix64_doubles` computes in bulk.
 """
@@ -430,6 +432,31 @@ def frozen_floored_log(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     with np.errstate(divide="ignore"):
         return np.where(v == 0.0, LOG_FLOOR, np.log(v))
+
+
+def frozen_scalar_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
+    """`decoder._scalar_forward` as a nested loop over states, before its kernel was generated."""
+    rows = emis.tolist()
+    initial, into = hmm._scalar_tables
+    rest = range(1, len(into))
+    delta = [a + b for a, b in zip(initial, rows[0])]
+    backptr = []
+    for row in rows[1:]:
+        nxt = []
+        prev = []
+        for col, e in zip(into, row):
+            best = delta[0] + col[0]
+            arg = 0
+            for i in rest:
+                c = delta[i] + col[i]
+                if c > best:
+                    best = c
+                    arg = i
+            nxt.append(best + e)
+            prev.append(arg)
+        delta = nxt
+        backptr.append(prev)
+    return delta, backptr
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +21,7 @@ from minkdecode.dataio import load_transcript, save_transcript
 from minkdecode.decoder import collapse_tokens
 
 from conftest import make_random_hmm, make_random_scores, make_uniform_hmm
-from oracles import exhaustive_decode, score_path
+from oracles import exhaustive_decode, frozen_scalar_forward, score_path
 
 
 # viterbi_decode picks its forward pass by state count; these limits force
@@ -368,6 +374,82 @@ class TestViterbiExact:
         hmm = make_uniform_hmm(2)
         scores = LogScoreMatrix([[LOG_FLOOR, LOG_FLOOR], [-5.0, -0.1]])
         assert viterbi_decode(scores, hmm).state_path[-1] == 1
+
+
+def kernel_instances():
+    """Seeded (emissions, model) pairs of 1-12 states and 1-40 frames for the scalar kernel.
+
+    Each state count gets 1, 2 and 40 frames and two counts drawn between,
+    in three kinds: rows rounded to 0.5 (ties) with LOG_FLOOR in about a
+    quarter of the scores and transitions; a uniform model over all-equal
+    rows; and a model built from log scores whose one certain entry per row
+    is 0.0 or (mostly) -0.0, over scores mostly of -0.0, so that some
+    last-frame scores are -0.0 and a kernel that loses the sign shows.
+    """
+    rng = np.random.default_rng(1919)
+    out = []
+    for k in range(1, 13):
+        for frames in (1, 2, 40, *rng.integers(3, 40, size=2)):
+            trans = rng.dirichlet(np.ones(k), size=k)
+            trans[rng.random((k, k)) < 0.25] = 0.0
+            trans[:, 0] += 0.05
+            trans /= trans.sum(axis=1, keepdims=True)
+            hmm = HmmModel.from_probs(rng.dirichlet(np.ones(k)), trans,
+                                      [f"w{i}" for i in range(k)], list(range(k)))
+            emis = np.round(2 * rng.normal(size=(frames, k))) / 2
+            emis[rng.random(emis.shape) < 0.25] = LOG_FLOOR
+            out.append((emis, hmm))
+
+            out.append((np.full((frames, k), -0.5), make_uniform_hmm(k)))
+
+            def certain():
+                row = np.full(k, LOG_FLOOR)
+                row[rng.integers(k)] = rng.choice([0.0, -0.0], p=[0.2, 0.8])
+                return row
+            signed = HmmModel(certain(), np.array([certain() for _ in range(k)]),
+                              [f"w{i}" for i in range(k)], list(range(k)))
+            emis = rng.choice([0.0, -0.0, LOG_FLOOR], p=[0.02, 0.9, 0.08], size=(frames, k))
+            out.append((emis, signed))
+    return out
+
+
+class TestScalarKernel:
+    def test_matches_frozen_loop_bit_for_bit(self):
+        instances = kernel_instances()
+        assert {h.num_states for _, h in instances} == set(range(1, 13))
+        assert {len(e) for e, _ in instances} >= {1, 2, 40}
+        for emis, hmm in instances:
+            delta, backptr = decoder._scalar_forward(emis, hmm)
+            want_delta, want_backptr = frozen_scalar_forward(emis, hmm)
+            assert delta == want_delta
+            assert (np.signbit(delta) == np.signbit(want_delta)).all()
+            assert [list(prev) for prev in backptr] == want_backptr
+
+    def test_built_lazily_once_per_state_count(self, monkeypatch):
+        env = dict(os.environ, PYTHONPATH=str(Path(decoder.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import minkdecode.cli; from minkdecode import decoder; "
+             "print(decoder._scalar_kernel.cache_info().currsize)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+        built = []
+        kernel = decoder._scalar_kernel
+        monkeypatch.setattr(decoder, "_scalar_kernel", lambda k: built.append(kernel(k)) or built[-1])
+        first = make_random_hmm(np.random.default_rng(4), 4)
+        second = make_uniform_hmm(4)
+        for hmm in (first, second):
+            decoder._scalar_forward(np.zeros((3, 4)), hmm)
+        assert first._scalar_tables != second._scalar_tables
+        assert len(built) == 2 and built[0] is built[1]
+
+    @pytest.mark.parametrize("num_states", range(1, 13))
+    def test_source_holds_no_model_value(self, num_states):
+        # The only constants are the backpointers' state indices.
+        tree = ast.parse(decoder._scalar_source(num_states))
+        constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+        assert all(type(c) is int and 0 <= c < num_states for c in constants)
 
 
 class TestExhaustive:
