@@ -5,7 +5,8 @@ save -> load round-trips are exact):
 
 * posterior matrix: first line ``frames classes``, at least 1 frame and 2
   classes, then one line per frame with space-separated probabilities;
-  rows must sum to 1 within 1e-6.
+  rows must sum to 1 within 1e-6, as in every `PosteriorMatrix`, so
+  `save_posteriors` writes only files that `load_posteriors` accepts.
 * HMM: JSON with fields num_states, initial, transitions, labels,
   state_to_class; probabilities are stored linearly and converted to logs
   on load. Labels must be strings. Unknown fields are rejected.
@@ -66,7 +67,7 @@ import numpy as np
 
 from .decoder import HmmModel, collapse_tokens
 from .errors import DataFormatError, ValidationError
-from .posteriors import ROW_SUM_TOLERANCE, PosteriorMatrix, check_row_sums, numeric_array
+from .posteriors import PosteriorMatrix, _row_sum_error, check_row_sums, numeric_array
 
 __all__ = [
     "NoiseSpec",
@@ -187,9 +188,9 @@ def load_posteriors(path) -> PosteriorMatrix:
     """Read a posterior matrix file, checking every row against the format.
 
     The header is checked first, at line 1. All values are then parsed in
-    one bulk call and checked as one array: its shape, the row sums by
-    `check_row_sums` and the entries by `PosteriorMatrix`. If any of that
-    fails, `_raise_first_bad_line` walks the file to name the bad line.
+    one bulk call and checked as one array: its shape, then its entries and
+    row sums by `PosteriorMatrix`. If any of that fails,
+    `_raise_first_bad_line` walks the file to name the bad line.
     """
     lines = read_text(path).splitlines()
     if not lines:
@@ -220,9 +221,9 @@ def load_posteriors(path) -> PosteriorMatrix:
         )
     try:
         values = np.array(rows, dtype=np.float64)
-        if values.shape == (frames, classes) and check_row_sums(values) is None:
+        if values.shape == (frames, classes):
             return PosteriorMatrix(values)
-    except ValueError:  # ragged rows, a token float() rejects, or an entry outside [0, 1]
+    except ValueError:  # ragged rows, a token float() rejects, a bad entry or row sum
         pass
     _raise_first_bad_line(path, lines, classes)
 
@@ -248,10 +249,7 @@ def _raise_first_bad_line(path: str | os.PathLike, lines: list[str], classes: in
         if not ((row >= 0) & (row <= 1)).all():
             raise DataFormatError(path, lineno, "probabilities must be in [0, 1]")
         if check_row_sums(row[None, :]) is not None:
-            raise DataFormatError(
-                path, lineno,
-                f"row sums to {float(row.sum())!r}, expected 1 within {ROW_SUM_TOLERANCE}",
-            )
+            raise DataFormatError(path, lineno, str(_row_sum_error("row", row)))
     raise DataFormatError(path, None, "rows fail the bulk checks, but no single line does")
 
 
@@ -266,33 +264,13 @@ def _is_float(tok: str) -> bool:
 def save_posteriors(matrix: PosteriorMatrix, path) -> None:
     """Write the matrix in the posterior format, all values in one format call.
 
-    A row whose sum `load_posteriors` would refuse is refused here, before
-    anything is written. The rows of a `_BlockRows` are not checked again.
+    `PosteriorMatrix` holds the format's rules, so `load_posteriors` reads
+    the file back as the same matrix.
     """
-    if not isinstance(matrix, _BlockRows):
-        bad = check_row_sums(matrix.values)
-        if bad is not None:
-            raise _row_sum_error(f"row {bad}", matrix.values[bad])
     row = " ".join([_FLOAT_FORMAT] * matrix.classes)
     template = "\n".join([f"{matrix.frames} {matrix.classes}"] + [row] * matrix.frames)
     text = template % tuple(matrix.values.ravel().tolist())
     write_text(path, text + "\n")
-
-
-class _BlockRows(PosteriorMatrix):
-    """One utterance's rows, cut from a block whose row sums `generate_corpus` has checked.
-
-    Checking each utterance's rows again in `save_posteriors` cost 7% of a
-    demo_k3-shaped `generate_corpus` call, so the check is skipped for this
-    private type only: the public `save_posteriors` checks every other matrix.
-    """
-
-
-def _row_sum_error(row: str, values: np.ndarray) -> ValidationError:
-    """The refusal of the row called row, whose entries are values."""
-    return ValidationError(
-        f"{row} sums to {float(values.sum())!r}, expected 1 within {ROW_SUM_TOLERANCE}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +585,8 @@ def generate_corpus(
     may need at most MAX_UTTERANCE_DRAWS draws.
 
     Utterances are made in blocks of about _BLOCK_DRAWS draws. A block's
-    rows are checked once, as one `PosteriorMatrix` and by one
-    `check_row_sums` call, before any of its files is written; a bad row
-    is named by its utterance and its row there.
+    rows are checked before any of its files is written: by `check_row_sums`,
+    to name a bad row by its utterance, then as one `PosteriorMatrix`.
     """
     lo, hi = check_corpus_size(num_utterances, frames_range)
     classes = hmm.max_class + 1
@@ -650,22 +627,22 @@ def generate_corpus(
                 starts.append(offset + pos + 1)
                 pos += 1 + row_draws
             paths.append(states)
-        # One check of the block's rows, before any of its files is written.
-        rows = PosteriorMatrix(
-            _posterior_rows(draws, centers, starts, classes, noise.concentration)).values
+        # The block's rows are checked before any of its files is written.
+        rows = _posterior_rows(draws, centers, starts, classes, noise.concentration)
         bad = check_row_sums(rows)
         ends = list(itertools.accumulate(map(len, paths)))
         if bad is not None:
             j = bisect.bisect_right(ends, bad)
             first_row = ends[j] - len(paths[j])
             raise _row_sum_error(f"utterance utt{ids[j]:04d} row {bad - first_row}", rows[bad])
+        rows = PosteriorMatrix(rows).values
         for i, states, end in zip(ids, paths, ends):
             start = end - len(states)
             reference = collapse_tokens([hmm.state_labels[s] for s in states])
             uid = f"utt{i:04d}"
             post_path = out_dir / f"{uid}.post"
             ref_path = out_dir / f"{uid}.ref"
-            save_posteriors(_BlockRows._unchecked(rows[start:end]), post_path)
+            save_posteriors(PosteriorMatrix._unchecked(rows[start:end]), post_path)
             save_transcript(reference, ref_path)
             utts.append(CorpusUtterance(uid, post_path, ref_path))
     # Every file lies beside the manifest, so its name is its path from there.

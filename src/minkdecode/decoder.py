@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmmModel:
     """State set with log-domain initial/transition scores and label maps.
 
@@ -57,14 +57,14 @@ class HmmModel:
     file holds a token; nothing is converted to one. exp(log_initial) and
     each exp(transition row) must sum to 1 within 1e-6 (`check_row_sums`). A zero probability
     has one encoding, LOG_FLOOR: every entry must be finite, so -inf is
-    refused like NaN and +inf.
+    refused like NaN and +inf. Models compare and hash by identity.
     """
 
     log_initial: np.ndarray
     log_transitions: np.ndarray
     state_labels: tuple[str, ...]
     state_to_class: np.ndarray
-    max_class: int = field(init=False, repr=False, compare=False)
+    max_class: int = field(init=False, repr=False)
 
     def __post_init__(self):
         init = numeric_array(self.log_initial, "log_initial")

@@ -40,6 +40,8 @@ from .errors import ValidationError
 
 __all__ = ["LossOrder", "transform_values"]
 
+ORDER_LIMIT = 2**53  # so that n - 1 is an exact float, and 1.0 / (n - 1) cannot overflow
+
 ODD_ORDER_EXPLANATION = (
     "its expected-loss gradient has complex roots, which can't be used as a "
     "probability; only even orders define a transform"
@@ -48,7 +50,7 @@ ODD_ORDER_EXPLANATION = (
 
 @dataclass(frozen=True)
 class LossOrder:
-    """Validated transform order: an integer >= 2 that is even.
+    """Validated transform order: an even integer >= 2 and below ORDER_LIMIT.
 
     Every even-order entry point validates its order through this class;
     the odd-order oracle in the test suite applies the same integer check,
@@ -72,6 +74,8 @@ def _check_order_int(value) -> int:
     value = int(value)
     if value < 2:
         raise ValidationError(f"order must be >= 2, got {value}")
+    if value >= ORDER_LIMIT:
+        raise ValidationError(f"order must be below 2**53, got {value}")
     return value
 
 

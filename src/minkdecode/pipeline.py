@@ -55,18 +55,11 @@ def decode_tokens(matrices: Sequence[PosteriorMatrix], hmm: HmmModel, order: int
     `stack_rows`, one `transform_matrix` and one `to_log_scores` call, then
     `split_rows` and one `viterbi_decode` per matrix. The transform acts on
     each entry and each row on its own, so every matrix gets the scores,
-    bit for bit, that it would get alone. An error in a chunk is raised
-    again as the chunk's first failing matrix raises it alone, so a
-    zero-sum row is named by its index in its own matrix.
+    bit for bit, that it would get alone.
     """
     decoded = []
     for chunk in _chunks(matrices):
-        try:
-            logs = to_log_scores(transform_matrix(stack_rows(chunk), order), priors)
-        except ValidationError:
-            for matrix in chunk:  # raises as the first failing matrix does alone
-                to_log_scores(transform_matrix(matrix, order), priors)
-            raise
+        logs = to_log_scores(transform_matrix(stack_rows(chunk), order), priors)
         for scores in split_rows(logs, [m.frames for m in chunk]):
             decoded.append(viterbi_decode(scores, hmm).token_sequence)
     return decoded
@@ -275,10 +268,17 @@ def report_table(doc: dict) -> str:
 # transform curves
 # ---------------------------------------------------------------------------
 
+# Most points one curve table may hold: charts use 101 or 201, a million takes
+# 8 MB per column, and an unbounded count fails in np.linspace's allocation.
+MAX_GRID_POINTS = 10**6
+
+
 def curve_table(orders, grid_points: int):
     """The grid of `grid_points` posteriors on [0, 1] and each order's transform of it."""
     if grid_points < 2:
         raise ValidationError(f"grid-points must be >= 2, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValidationError(f"grid-points must be at most {MAX_GRID_POINTS}, got {grid_points}")
     mus = np.linspace(0.0, 1.0, grid_points)
     columns = {n: transform_values(mus, n) for n in orders}
     return mus, columns

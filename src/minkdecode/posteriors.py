@@ -1,16 +1,17 @@
 """Frame-by-class posterior matrices and their transform to decoder scores.
 
 A posterior matrix holds one row per frame and one column per class, each
-entry a probability. The order-n transform is applied entrywise (each class
-posterior is treated as an independent binary target), then each row is
-rescaled to sum to 1 in `transform_matrix`, the one place rows are
-rescaled. Because the scalar transform is strictly increasing, neither step
-can change a row's argmax or its full sort order; the rescaling only
-shifts that frame's log-scores by a constant, which the Viterbi path is
-invariant to.
+entry a probability and each row summing to 1 within ROW_SUM_TOLERANCE. The
+order-n transform is applied entrywise (each class posterior is treated as
+an independent binary target), then each row is rescaled to sum to 1 in
+`transform_matrix`, the one place rows are rescaled. Because the scalar
+transform is strictly increasing, neither step can change a row's argmax or
+its full sort order; the rescaling only shifts that frame's log-scores by a
+constant, which the Viterbi path is invariant to.
 
 Both matrix types check their shape and entries in one shared base (one
-pass over the entries: in [0, 1] for posteriors, finite for log scores).
+pass over the entries: in [0, 1] for posteriors, finite for log scores),
+and `PosteriorMatrix` its row sums; both compare and hash by identity.
 `transform_matrix` and `to_log_scores` wrap their outputs without it
 (`_Matrix._unchecked`): computed from a checked matrix, they pass by construction.
 So do `stack_rows`, which joins the rows of several posterior matrices of
@@ -21,7 +22,8 @@ kernels act on each entry, or each row, on its own, so a row's scores do
 not depend on the rows stacked with it.
 `numeric_array` is the one rule for what counts as an array of numbers,
 `check_row_sums` the one row-sum check and `floored_log` the one log
-with exact zeros at LOG_FLOOR, all also used by `HmmModel`.
+with exact zeros at LOG_FLOOR, all also used by `HmmModel`; `_row_sum_error`
+words every refusal of a posterior row by its sum.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ LOG_FLOOR = -1e30
 ROW_SUM_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Matrix:
     """frames x classes float64 matrix with finite entries, stored as a read-only copy.
 
@@ -78,11 +80,15 @@ class _Matrix:
     def _unchecked(cls, arr: np.ndarray):
         """arr, built from checked matrices of the type its caller requires, wrapped read-only.
 
-        Its shape and entries pass by construction, so neither is checked and
-        arr is not copied.
+        Its shape, entries and row sums pass by construction, so none is checked
+        and arr is not copied.
         `transform_matrix` keeps its source's shape and divides each x of a row by
         the row's sum s, where 0 <= x <= s (`transform_values` keeps [0, 1], and a float
         sum of nonnegative terms is no less than any term), so x / s lies in [0, 1].
+        s > 0: one of a checked row's K entries is at least about 1/K, and
+        `transform_values` maps mu > 0 to r / (1 + r), r = (mu / (1 - mu))**(1 / (n - 1))
+        >= min(1, mu / (1 - mu)), which does not underflow. The rows x / s sum to 1
+        within about K ulp, far inside ROW_SUM_TOLERANCE.
         `to_log_scores` keeps its source's shape and logs entries in [0, 1]: zeros
         become LOG_FLOOR, the rest finite logs, less the finite logs of priors
         checked finite and > 0.
@@ -113,10 +119,19 @@ class _Matrix:
 
 
 class PosteriorMatrix(_Matrix):
-    """frames x classes matrix of per-frame class posteriors, each in [0, 1]."""
+    """frames x classes matrix of per-frame class posteriors, each in [0, 1].
+
+    The first row whose sum is off 1 by more than ROW_SUM_TOLERANCE is refused.
+    """
 
     _KIND = "posterior matrix"
     _RULE = "in [0, 1]"
+
+    def __post_init__(self):
+        super().__post_init__()
+        bad = check_row_sums(self.values)
+        if bad is not None:
+            raise _row_sum_error(f"row {bad}", self.values[bad])
 
     @staticmethod
     def _accepts(arr: np.ndarray) -> np.ndarray:
@@ -139,15 +154,12 @@ def transform_matrix(p: PosteriorMatrix, order) -> PosteriorMatrix:
 
     Each row is divided by its sum so that it sums to 1; dividing by a
     positive constant cannot change the decoded path, only score
-    magnitudes. A row that sums to zero cannot be rescaled and is refused.
+    magnitudes. Every sum is positive, as `_Matrix._unchecked` shows.
     `transform_values` is the unscaled kernel.
     """
     _require(p, PosteriorMatrix)
     out = transform_values(p.values, order)
-    sums = out.sum(axis=1)
-    if not sums.all():
-        raise ValidationError(f"row {(sums == 0.0).argmax()} sums to zero; cannot renormalize")
-    out /= sums[:, None]
+    out /= out.sum(axis=1)[:, None]
     return PosteriorMatrix._unchecked(out)
 
 
@@ -244,6 +256,12 @@ def check_row_sums(values: np.ndarray) -> int | None:
     sums = np.asarray(values, dtype=np.float64).sum(axis=1)
     bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
     return int(np.flatnonzero(bad)[0]) if bad.any() else None
+
+
+def _row_sum_error(row: str, values: np.ndarray) -> ValidationError:
+    """The refusal of the posterior row called row, whose entries are values."""
+    return ValidationError(f"{row} sums to {float(values.sum())!r}, "
+                           f"expected 1 within {ROW_SUM_TOLERANCE}")
 
 
 def floored_log(values) -> np.ndarray:

@@ -18,7 +18,6 @@ import pytest
 
 from minkdecode import (
     LogScoreMatrix,
-    PosteriorMatrix,
     align_and_score,
     cli,
     corpus_wer,
@@ -27,6 +26,7 @@ from minkdecode import (
     viterbi_decode,
 )
 from minkdecode.minkowski import transform_values
+from minkdecode.posteriors import floored_log
 
 from conftest import (
     make_random_hmm,
@@ -198,7 +198,7 @@ def test_c08_renormalization_neutrality():
                 to_log_scores(transform_matrix(m, order)), hmm
             ).state_path
             without = viterbi_decode(
-                to_log_scores(PosteriorMatrix(transform_values(m.values, order))), hmm
+                LogScoreMatrix(floored_log(transform_values(m.values, order))), hmm
             ).state_path
             ok &= with_renorm == without
     _report("criterion-08 renormalization neutrality", ok)

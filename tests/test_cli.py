@@ -481,6 +481,7 @@ class TestExperimentCommand:
         ("corpus", "dir", "", "corpus.dir"),
         (None, "corpus", {"manifest": ""}, "corpus.manifest"),
         ("noise", "concentration", 1e308, "noise.concentration"),
+        (None, "orders", [2, 10**400], "orders"),
     ], ids=["renormalize", "renormalize-false", "orders", "utterances", "frames", "noise-seed",
             "noise-concentration", "noise-missing-key", "noise-list", "noise-string",
             "hmm-path", "priors-path", "report-path", "dir-path", "manifest-path",
@@ -488,7 +489,7 @@ class TestExperimentCommand:
             "frames-reversed", "corpus-unknown-key", "noise-unknown-key",
             "manifest-with-generation", "orders-empty", "orders-repeated", "hmm-empty",
             "priors-empty", "report-empty", "dir-empty", "manifest-empty",
-            "noise-concentration-overflow"])
+            "noise-concentration-overflow", "orders-huge"])
     def test_config_values_are_not_coerced(self, tmp_path, demo_hmm, capsys,
                                            section, key, value, field):
         path = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 3)
@@ -660,6 +661,9 @@ class TestExperimentCommand:
 
 
 ODD_ORDER = "order 3 is odd: its expected-loss gradient has complex roots"
+# 1 / (n - 1) of an order this large would overflow converting the int to a float.
+HUGE_ORDER = "1" + "0" * 400
+TOO_LARGE = f"order must be below 2**53, got {HUGE_ORDER}"
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -672,9 +676,15 @@ ODD_ORDER = "order 3 is odd: its expected-loss gradient has complex roots"
      "field 'noise.concentration' must be at most 1e+300 or inf, got 1e+308"),
     (["synth", "--confusion-rate", "2"], "field 'noise.confusion_rate' must be in [0, 1], got 2.0"),
     (["synth", "--seed", "-1"], "field 'noise.seed' must fit in 64 bits"),
+    (["transform", "in.post", "--order", HUGE_ORDER, "--out", "o.post"], TOO_LARGE),
+    (["decode", "in.post", "--hmm", "hmm.json", "--order", HUGE_ORDER, "--out", "h"], TOO_LARGE),
+    (["curves", "--order", "4", "--order", HUGE_ORDER, "--out", "c.txt"], TOO_LARGE),
+    (["curves", "--grid-points", "1000000001", "--out", "c.txt"],
+     "grid-points must be at most 1000000, got 1000000001"),
 ], ids=["transform-order", "decode-order", "synth-frames", "synth-utterances",
         "synth-concentration", "synth-concentration-overflow", "synth-confusion-rate",
-        "synth-seed"])
+        "synth-seed", "transform-huge-order", "decode-huge-order", "curves-huge-order",
+        "curves-grid-points"])
 def test_argument_values_checked_before_files_are_read(tmp_path, capsys, monkeypatch,
                                                        argv, reason):
     # None of the named input files exists: reading one first would exit 3.

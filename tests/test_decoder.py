@@ -37,6 +37,11 @@ def decode_by(forward, scores, hmm):
 
 
 class TestHmmModel:
+    def test_compares_and_hashes_by_identity(self):
+        a, b = make_uniform_hmm(2), make_uniform_hmm(2)
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
     def test_from_probs_uniform(self):
         hmm = make_uniform_hmm(2)
         assert np.allclose(hmm.log_transitions, np.log(0.5))

@@ -55,6 +55,16 @@ class TestLossOrder:
         with pytest.raises(ValidationError, match="order must be an integer"):
             LossOrder(bad)
 
+    def test_order_limit(self):
+        # Below 2**53, n - 1 is an exact float.
+        n = 2**53 - 2
+        assert LossOrder(n).value == n
+        out = transform_values([0.0, 0.25, 0.5, 1.0], n)
+        assert out[0] == 0.0 and 0.25 < out[1] <= 0.5 and out[2] == 0.5 and out[3] == 1.0
+        for bad in (2**53, 2**54, 10**400):
+            with pytest.raises(ValidationError, match=rf"^order must be below 2\*\*53, got {bad}$"):
+                LossOrder(bad)
+
     def test_accepted_by_operations(self):
         assert closed_form_transform(0.3, LossOrder(4)) == closed_form_transform(0.3, 4)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from minkdecode import (
 )
 
 from minkdecode.minkowski import transform_values
-from minkdecode.posteriors import floored_log
+from minkdecode.posteriors import floored_log, stack_rows
 
-from conftest import make_random_posteriors
+from conftest import make_edge_rows, make_random_posteriors
 from oracles import closed_form_transform, frozen_floored_log, frozen_transform_values
 
 # frozen from the grid oracle: transform(0.8, 4), transform(0.1, 4)
@@ -48,6 +49,20 @@ class TestPosteriorMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.3
 
+    @pytest.mark.parametrize("rows, row, total", [
+        ([[0.7, 0.2]], 0, "0.8999999999999999"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.6, 0.6], [0.0, 0.0]], 2, "1.2"),
+        ([[0.5, 0.5], [0.5, 0.5000011]], 1, "1.0000011"),
+    ])
+    def test_rejects_row_sums_off_one(self, rows, row, total):
+        with pytest.raises(ValidationError,
+                           match=rf"^row {row} sums to {re.escape(total)}, expected 1 within 1e-06$"):
+            PosteriorMatrix(rows)
+
+    def test_accepts_row_sums_within_tolerance(self):
+        m = PosteriorMatrix([[0.5, 0.4999991], [0.5, 0.5000009], [1.0, 5e-324]])
+        assert m.frames == 3
+
 
 @pytest.mark.parametrize("matrix_type", [PosteriorMatrix, LogScoreMatrix])
 class TestMatrixTypes:
@@ -75,6 +90,11 @@ class TestMatrixTypes:
         m = matrix_type([[0.5, 0.5]])
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.25
+
+    def test_compares_and_hashes_by_identity(self, matrix_type):
+        a, b = matrix_type([[0.5, 0.5]]), matrix_type([[0.5, 0.5]])
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_keeps_a_copy(self, matrix_type):
         source = np.array([[0.5, 0.5], [0.25, 0.75]])
@@ -119,15 +139,17 @@ class TestTransformMatrix:
         out = transform_values(m.values, 2)
         assert np.array_equal(out, m.values)
 
+    # A zero row is refused when its matrix is built, before any transform runs.
     def test_zero_row_rejected(self):
-        with pytest.raises(ValidationError, match="row 0 sums to zero"):
+        with pytest.raises(ValidationError, match=r"^row 0 sums to 0\.0, expected 1 within 1e-06$"):
             transform_matrix(PosteriorMatrix([[0.0, 0.0]]), 4)
 
     @pytest.mark.parametrize("order, zero", [(4, 0.0), (2, -0.0)])
     def test_zero_row_named_by_index(self, order, zero):
-        m = PosteriorMatrix([[0.5, 0.5], [0.2, 0.8], [zero, zero], [0.0, 0.0]])
-        with pytest.raises(ValidationError, match="^row 2 sums to zero; cannot renormalize$"):
-            transform_matrix(m, order)
+        with pytest.raises(ValidationError,
+                           match=r"^row 2 sums to 0\.0, expected 1 within 1e-06$"):
+            transform_matrix(
+                PosteriorMatrix([[0.5, 0.5], [0.2, 0.8], [zero, zero], [0.0, 0.0]]), order)
 
     @pytest.mark.parametrize("kernel", [lambda m: transform_matrix(m, 4), to_log_scores],
                              ids=["transform_matrix", "to_log_scores"])
@@ -146,13 +168,28 @@ class TestTransformMatrix:
     )
     @settings(max_examples=200)
     def test_rows_sum_to_one(self, raw, order):
-        m = PosteriorMatrix(raw)
-        if (raw.sum(axis=1) <= 0).any():
-            with pytest.raises(ValidationError):
-                transform_matrix(m, order)
-            return
+        raw[raw.sum(axis=1) == 0, 0] = 1.0  # an all-zero row becomes one-hot
+        m = PosteriorMatrix(raw / raw.sum(axis=1, keepdims=True))
         out = transform_matrix(m, order)
         assert np.all(np.abs(out.values.sum(axis=1) - 1.0) <= 1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 50), st.sampled_from(range(2, 11, 2)))
+    @settings(max_examples=100)
+    def test_unchecked_outputs_pass_the_checks(self, seed, k, order):
+        """`_Matrix._unchecked`'s proof: the outputs pass every check of PosteriorMatrix.
+
+        Rows hold the edge entries 0.0, 5e-324 and 1.0, and some are scaled to
+        sum to 1 - 9e-7, near the tolerance.
+        """
+        rng = np.random.default_rng(seed)
+        ms = []
+        for _ in range(3):
+            values = make_edge_rows(rng, int(rng.integers(1, 20)), k)
+            values[rng.random(len(values)) < 0.3] *= 1.0 - 9e-7
+            ms.append(PosteriorMatrix(values))
+        PosteriorMatrix(stack_rows(ms).values)
+        for m in ms:
+            PosteriorMatrix(transform_matrix(m, order).values)
 
     def test_rejects_odd_order(self, rng):
         with pytest.raises(ValidationError, match="probability"):
@@ -206,18 +243,18 @@ class TestToLogScores:
 class TestFrozenKernels:
     """The kernels against their earlier versions, kept verbatim in `oracles`: the same bits."""
 
-    EDGES = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+    SMALL_EDGES = [0.0, -0.0, 5e-324]
+    LARGE_EDGES = [1.0, 1.0 - 2.0**-53]
+    EDGES = SMALL_EDGES + LARGE_EDGES
     ORDERS = range(2, 13, 2)
 
     @classmethod
     def inputs(cls):
-        """Arrays of K = 2..20 with edge entries injected, one-hot rows, 0-d and 1-element inputs."""
+        """Rows of K = 2..20 summing to 1 with edge entries, one-hot rows, 0-d and 1-element inputs."""
         rng = np.random.default_rng(1)
         for k in range(2, 21):
-            m = rng.dirichlet(np.full(k, 0.5), size=int(rng.integers(1, 40)))
-            injected = rng.random(m.shape) < 0.3
-            m[injected] = rng.choice(cls.EDGES, size=int(injected.sum()))
-            yield m
+            yield make_edge_rows(rng, int(rng.integers(1, 40)), k, small=cls.SMALL_EDGES,
+                                 large=cls.LARGE_EDGES, share=0.3)
             yield np.eye(k)
         for v in cls.EDGES + [0.25, 0.5, 0.7]:
             yield v
@@ -245,7 +282,7 @@ class TestFrozenKernels:
         for values in self.inputs():
             if np.ndim(values) != 2:
                 continue
-            m = PosteriorMatrix(values[~(values == 0.0).all(axis=1)])  # rows it can rescale
+            m = PosteriorMatrix(values)
             for order in self.ORDERS:
                 raw = frozen_transform_values(m.values, order)
                 out = transform_matrix(m, order)
