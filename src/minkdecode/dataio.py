@@ -14,7 +14,8 @@ save -> load round-trips are exact):
 * transcript: one token per line.
 * corpus manifest: JSON listing utterance ids and their posterior and
   reference files (all non-empty strings), plus the generator seed and
-  noise parameters. Unknown keys are rejected.
+  noise parameters. Unknown keys are rejected. A `CorpusUtterance` holds
+  its paths as strings, each the `os.fspath` of its directory / file name.
 
 `read_text` is the one reader for every text file the program reads, and
 `write_text` the one writer for every file the program writes. Both use
@@ -47,18 +48,19 @@ the same places as the scalar SplitMix64 reference in the test suite
 generator does it, so corpora stay byte for byte the same: exponentials
 use `math.log1p` (numpy's `log1p` differs from it in the last bit on some
 inputs), cumulative probabilities add in row order, and row totals use
-numpy's `sum`.
+numpy's `sum`. A distribution's last running sum is stored as inf
+(`_capped_sums`), so a draw past every sum takes the last state.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
 import numbers
 import os
 import stat
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NoReturn
@@ -111,8 +113,15 @@ def _naming(exc: OSError, path) -> OSError:
     return OSError(exc.errno, exc.strerror, os.fspath(path))
 
 
-def _read_bytes(path) -> bytes:
-    """Every byte of the file at path, read through a raw descriptor until end of file."""
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, newlines as they are.
+
+    The bytes come through a raw descriptor (`os.open` and `os.read`, no
+    file object and no buffer of its own), looping until a read returns
+    nothing. An OSError names path, as `open` would, also where `os.read`
+    fails: a directory, say, opens and then fails to read with EISDIR.
+    A byte that is not UTF-8 is a DataFormatError at line 1 + the newlines before it.
+    """
     fd = os.open(path, _READ_FLAGS)
     chunks = []
     try:
@@ -123,19 +132,7 @@ def _read_bytes(path) -> bytes:
             os.close(fd)
     except OSError as exc:  # a directory opens, then its read fails with EISDIR
         raise _naming(exc, path) from None
-    return b"".join(chunks)
-
-
-def read_text(path) -> str:
-    """The UTF-8 text of the file at path, newlines as they are.
-
-    The bytes come through a raw descriptor (`os.open` and `os.read`, no
-    file object and no buffer of its own), looping until a read returns
-    nothing. An OSError names path, as `open` would, also where `os.read`
-    fails: a directory, say, opens and then fails to read with EISDIR.
-    A byte that is not UTF-8 is a DataFormatError at line 1 + the newlines before it.
-    """
-    data = _read_bytes(path)
+    data = b"".join(chunks)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -148,16 +145,20 @@ def write_text(path, text: str) -> None:
     Newlines are written as given. Truncating and rewriting an existing file
     costs far more than reading it back, so a regular file of the same size
     is compared first and left alone when its bytes are equal. The target
-    is stat'ed before it is opened, so a FIFO or device is never read. Reads
-    and writes go through raw descriptors (`os.open`, `os.read`, `os.write`),
-    a short write is followed by a write of the rest, and an OSError names
-    path.
+    is stat'ed before it is opened, so a FIFO or device is never read, then
+    read with one `os.read` of a byte more than the text (a file that changed
+    size since reads differently). A short write is followed by a write of
+    the rest, and an OSError names path.
     """
     data = text.encode("utf-8")
     try:
-        st = os.stat(path)
-        if stat.S_ISREG(st.st_mode) and st.st_size == len(data) and _read_bytes(path) == data:
-            return
+        if stat.S_ISREG((st := os.stat(path)).st_mode) and st.st_size == len(data):
+            fd = os.open(path, _READ_FLAGS)
+            try:
+                if os.read(fd, len(data) + 1) == data:
+                    return
+            finally:
+                os.close(fd)
     except OSError:
         pass  # missing or unreadable: the write below succeeds or says why
     fd = os.open(path, _WRITE_FLAGS, 0o666)
@@ -278,11 +279,14 @@ def save_posteriors(matrix: PosteriorMatrix, path) -> None:
 # ---------------------------------------------------------------------------
 
 def load_json(path: Path):
-    """The JSON document in the file at path; a syntax error names its line."""
+    """The JSON document at path; a syntax error names its line, any other parse error the file."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(path, None, f"invalid JSON: {exc}") from None
 
 
 _JSON_KINDS = {int: "an integer", numbers.Real: "a number", str: "a non-empty string",
@@ -429,8 +433,8 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class CorpusUtterance:
     utterance_id: str
-    posteriors_path: Path
-    reference_path: Path
+    posteriors_path: str
+    reference_path: str
 
 
 @dataclass(frozen=True)
@@ -457,11 +461,11 @@ def load_manifest(path) -> CorpusManifest:
         for i, entry in enumerate(entries):
             json_object(entry, keys, field=f"utterances[{i}]")
             uid, post, ref = (json_field(entry[k], str, f"utterances[{i}].{k}") for k in keys)
-            utt = CorpusUtterance(uid, base / post, base / ref)
-            for p in (utt.posteriors_path, utt.reference_path):
+            paths = (base / post, base / ref)
+            for p in paths:
                 if not p.exists():
                     raise ValidationError(f"referenced file {p} does not exist")
-            utts.append(utt)
+            utts.append(CorpusUtterance(uid, *map(os.fspath, paths)))
         return CorpusManifest(tuple(utts), noise)
     except ValidationError as exc:
         raise DataFormatError(path, None, str(exc)) from None
@@ -512,9 +516,9 @@ def _below(u: float, n: int) -> int:
     return min(int(u * n), n - 1)
 
 
-def _pick(cumulative: list[float], u: float) -> int:
-    """The scalar generator's `categorical` given its draw u and its probabilities' running sums."""
-    return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
+def _capped_sums(probs: list[float]) -> list[float]:
+    """probs' running sums, the last one inf: `bisect_right` on them draws as `categorical`."""
+    return [*itertools.accumulate(probs[:-1]), math.inf]
 
 
 def _posterior_rows(draws: np.ndarray, centers: list[int], starts: list[int],
@@ -601,8 +605,9 @@ def generate_corpus(
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    init_cum = list(itertools.accumulate(np.exp(hmm.log_initial).tolist()))
-    trans_cum = [list(itertools.accumulate(row)) for row in np.exp(hmm.log_transitions).tolist()]
+    base = os.fspath(out_dir) if out_dir.parts else ""  # Path(".") / name is name alone
+    init_cum = _capped_sums(np.exp(hmm.log_initial).tolist())
+    trans_cum = list(map(_capped_sums, np.exp(hmm.log_transitions).tolist()))
     state_class = hmm.state_to_class.tolist()
     rate = noise.confusion_rate
     block = max(1, _BLOCK_DRAWS // utt_draws)
@@ -613,9 +618,9 @@ def generate_corpus(
         paths, centers, starts = [], [], []
         for offset, u in zip(range(0, draws.size, utt_draws), draws.tolist()):
             num_frames = lo + _below(u[0], hi - lo + 1)
-            states = [_pick(init_cum, u[1])]
-            for k in range(2, num_frames + 1):
-                states.append(_pick(trans_cum[states[-1]], u[k]))
+            states = [s := bisect_right(init_cum, u[1])]
+            for x in u[2:num_frames + 1]:
+                states.append(s := bisect_right(trans_cum[s], x))
             pos = num_frames + 1  # the first frame's confusion draw
             for s in states:
                 center = state_class[s]
@@ -632,7 +637,7 @@ def generate_corpus(
         bad = check_row_sums(rows)
         ends = list(itertools.accumulate(map(len, paths)))
         if bad is not None:
-            j = bisect.bisect_right(ends, bad)
+            j = bisect_right(ends, bad)
             first_row = ends[j] - len(paths[j])
             raise _row_sum_error(f"utterance utt{ids[j]:04d} row {bad - first_row}", rows[bad])
         rows = PosteriorMatrix(rows).values
@@ -640,14 +645,14 @@ def generate_corpus(
             start = end - len(states)
             reference = collapse_tokens([hmm.state_labels[s] for s in states])
             uid = f"utt{i:04d}"
-            post_path = out_dir / f"{uid}.post"
-            ref_path = out_dir / f"{uid}.ref"
-            save_posteriors(PosteriorMatrix._unchecked(rows[start:end]), post_path)
-            save_transcript(reference, ref_path)
-            utts.append(CorpusUtterance(uid, post_path, ref_path))
+            stem = os.path.join(base, uid)
+            utt = CorpusUtterance(uid, f"{stem}.post", f"{stem}.ref")
+            save_posteriors(PosteriorMatrix._unchecked(rows[start:end]), utt.posteriors_path)
+            save_transcript(reference, utt.reference_path)
+            utts.append(utt)
     # Every file lies beside the manifest, so its name is its path from there.
-    entries = [{"id": u.utterance_id, "posteriors": u.posteriors_path.name,
-                "reference": u.reference_path.name} for u in utts]
+    entries = [{"id": u.utterance_id, "posteriors": os.path.basename(u.posteriors_path),
+                "reference": os.path.basename(u.reference_path)} for u in utts]
     doc = {"noise": asdict(noise), "utterances": entries}
-    write_text(out_dir / MANIFEST_NAME, json.dumps(doc, indent=2) + "\n")
+    write_text(os.path.join(base, MANIFEST_NAME), json.dumps(doc, indent=2) + "\n")
     return CorpusManifest(tuple(utts), noise)

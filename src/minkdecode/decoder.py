@@ -13,17 +13,17 @@ the same floats in the same order and keep the lowest index among equal
 candidates, so they give identical paths and scores; the final pick and
 the backtrace are shared.
 
-Emission scores come from a LogScoreMatrix through the model's
-state-to-class column map (`_emissions`) and paths become results through
-`_result`. The test suite's oracle, which scores every state path outright
-(`tests/oracles.py`), uses those two helpers too, so it and the DP differ
-only in how they search.
+Emission scores come from a LogScoreMatrix through the model's column
+selector (`_emissions`), a basic slice and so a view when state s scores
+column s, and paths become results through `_result`. The test suite's
+oracle, which scores every state path outright (`tests/oracles.py`), uses
+those two helpers too, so it and the DP differ only in how they search.
 
 `HmmModel` owns the model's invariants (labels a transcript can hold, one
 label and class per state, distributions summing to 1 by
 `posteriors.check_row_sums`) and computes once, not per decode, its largest
-class index `max_class` and the scalar pass's tables (`_scalar_tables`);
-`dataio.load_hmm` checks only the file's JSON types and `num_states`.
+class index `max_class`, the column selector `_columns` and the scalar
+tables `_scalar_tables`; `dataio.load_hmm` checks JSON types and `num_states`.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ class HmmModel:
     state_labels: tuple[str, ...]
     state_to_class: np.ndarray
     max_class: int = field(init=False, repr=False)
+    _columns: slice | np.ndarray = field(init=False, repr=False)  # `_emissions`' selector
 
     def __post_init__(self):
         init = numeric_array(self.log_initial, "log_initial")
@@ -117,6 +118,7 @@ class HmmModel:
         object.__setattr__(self, "state_labels", labels)
         object.__setattr__(self, "state_to_class", s2c)
         object.__setattr__(self, "max_class", int(s2c.max()))
+        object.__setattr__(self, "_columns", slice(0, n) if (s2c == np.arange(n)).all() else s2c)
 
     @property
     def num_states(self) -> int:
@@ -169,7 +171,9 @@ def _emissions(scores: LogScoreMatrix, hmm: HmmModel) -> np.ndarray:
             f"state_to_class refers to column {hmm.max_class} but the score "
             f"matrix has {scores.classes} classes"
         )
-    return scores.values[:, hmm.state_to_class]
+    emis = scores.values[:, hmm._columns]
+    emis.flags.writeable = False  # as a view of scores is
+    return emis
 
 
 def _result(path: list[int], log_score: float, hmm: HmmModel) -> DecodingResult:
@@ -203,13 +207,14 @@ def viterbi_decode(scores: LogScoreMatrix, hmm: HmmModel) -> DecodingResult:
         delta, backptr = _scalar_forward(emis, hmm)
     else:
         delta, backptr = _array_forward(emis, hmm)
-    # max returns the first maximal state, as argmax does.
-    state = max(range(len(delta)), key=delta.__getitem__)
-    log_score = delta[state]
+    # max keeps the first of equal scores, -0.0 and 0.0 too: the first maximal state, as argmax.
+    log_score = max(delta)
+    state = delta.index(log_score)
     path = [state]
+    push = path.append
     for prev in reversed(backptr):
         state = prev[state]
-        path.append(state)
+        push(state)
     path.reverse()
     return _result(path, log_score, hmm)
 

@@ -828,6 +828,33 @@ def test_invalid_json_names_file_and_line(tmp_path, demo_hmm, capsys, kind):
     assert f"{bad}:3: invalid JSON: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["hmm", "manifest", "config"])
+@pytest.mark.parametrize("text", ['{"orders": [2, ' + "9" * 5000 + "]}", "[" * 200_000],
+                         ids=["5000-digit-integer", "200000-deep-nesting"])
+def test_json_python_cannot_parse_names_file(tmp_path, demo_hmm, capsys, kind, text):
+    # json.loads raises a plain ValueError past the integer digit limit and
+    # a RecursionError past the nesting limit, neither a JSONDecodeError.
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(text)
+    write_posteriors(tmp_path / "in.post", [[0.5, 0.3, 0.2]])
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"hmm": demo_hmm.name, "corpus": {"manifest": bad.name}}))
+    argv = {
+        "hmm": ["decode", str(tmp_path / "in.post"), "--hmm", str(bad),
+                "--out", str(tmp_path / "hyp.txt")],
+        "manifest": ["experiment", str(cfg)],
+        "config": ["experiment", str(bad)],
+    }[kind]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    # Pythons before 3.10.7 have no digit limit: the document then parses and its
+    # content is refused, still naming the file.
+    limited = text.startswith("[") or hasattr(sys, "get_int_max_str_digits")
+    assert f"error: {bad}: {'invalid JSON: ' if limited else ''}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "hyp.txt").exists()
+
+
 @pytest.mark.parametrize("kind", ["decode-posteriors", "transform", "decode-hmm", "decode-priors",
                                   "score-reference", "score-hypothesis", "experiment-config",
                                   "experiment-hmm", "experiment-manifest"])

@@ -1,9 +1,11 @@
+import bisect
 import errno
 import itertools
 import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,8 +336,21 @@ class TestSplitMix64:
                       | st.sampled_from([c for c in cumulative if c < 1.0] or [0.0]))
         g = SplitMix64(0)
         g.next_double = lambda: u
-        assert dataio._pick(cumulative, u) == g.categorical(probs)
+        assert bisect.bisect_right(dataio._capped_sums(probs), u) == g.categorical(probs)
         assert dataio._below(u, n) == g.below(n)
+
+    @pytest.mark.parametrize("probs, u", [
+        ([0.5, 0.5, 0.0], 0.5),  # a draw equal to a running sum passes over it
+        ([0.0, 1.0], 0.0),
+        ([0.3, 0.0, 0.7], 0.3),  # past the zero probability too
+        ([0.2, 0.3, 0.5], 1 - 2**-53),  # the largest draw
+        ([0.1, 0.2], 0.9),  # past every sum: the last index
+        ([1.0], 0.7),
+    ])
+    def test_capped_sums_edge_draws(self, probs, u):
+        g = SplitMix64(0)
+        g.next_double = lambda: u
+        assert bisect.bisect_right(dataio._capped_sums(probs), u) == g.categorical(probs)
 
 
 class TestNoiseSpec:
@@ -413,7 +428,7 @@ class TestManifest:
         entry = {"id": "u0", "posteriors": "sub/u0.post", "reference": ref.as_posix()}
         p.write_text(json.dumps({"utterances": [entry]}))
         utt = load_manifest(p).utterances[0]
-        assert (utt.posteriors_path, utt.reference_path) == (post, ref)
+        assert (utt.posteriors_path, utt.reference_path) == (str(post), str(ref))
 
     def test_missing_file_rejected(self, tmp_path):
         doc = {"utterances": [{"id": "u0", "posteriors": "nope.post", "reference": "nope.ref"}]}
@@ -461,6 +476,21 @@ class TestManifest:
 
 
 class TestGenerateCorpus:
+    @pytest.mark.parametrize("out_dir", [".", "", "c", "c/", "./c", "c//d/./e", "ABS"])
+    def test_paths_are_the_strings_pathlib_joins(self, tmp_path, rng, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        out_dir = str(tmp_path / "abs") if out_dir == "ABS" else out_dir
+        hmm = make_random_hmm(rng, 3)
+        noise = NoiseSpec(concentration=5.0, confusion_rate=0.3, seed=3)
+        for given in (out_dir, Path(out_dir)):
+            manifest = generate_corpus(hmm, 3, (2, 4), noise, given)
+            for u in manifest.utterances:
+                assert type(u.posteriors_path) is str and type(u.reference_path) is str
+                assert u.posteriors_path == os.fspath(Path(out_dir) / f"{u.utterance_id}.post")
+                assert u.reference_path == os.fspath(Path(out_dir) / f"{u.utterance_id}.ref")
+            loaded = load_manifest(Path(out_dir) / MANIFEST_NAME)
+            assert loaded.utterances == manifest.utterances
+
     def test_deterministic_bytes(self, tmp_path, rng):
         hmm = make_random_hmm(rng, 3)
         noise = NoiseSpec(concentration=5.0, confusion_rate=0.3, seed=11)
@@ -640,6 +670,35 @@ class TestWriteText:
         write_text(p, "abd\n")
         assert p.read_bytes() == b"abd\n"
         assert os.stat(p).st_mtime_ns != OLD_NS
+
+    def test_compare_is_one_read_of_one_byte_more(self, tmp_path, monkeypatch):
+        p = backdated(tmp_path / "f.txt", b"same\n")
+        reads = []
+        real_read = os.read
+
+        def spy(fd, n):
+            reads.append(n)
+            return real_read(fd, n)
+
+        monkeypatch.setattr(os, "read", spy)
+        write_text(p, "same\n")
+        assert reads == [6]
+        assert os.stat(p).st_mtime_ns == OLD_NS
+
+    @pytest.mark.parametrize("old", [b"abc\nX", b"ab"], ids=["grew", "shrank"])
+    def test_file_that_changed_size_after_the_stat_is_rewritten(self, tmp_path, monkeypatch,
+                                                                 old):
+        # The stat reports the text's size, as it would just before the file changed.
+        p = backdated(tmp_path / "f.txt", old)
+        real_stat = os.stat
+
+        def stale(path, *args, **kwargs):
+            st = real_stat(path, *args, **kwargs)
+            return os.stat_result((*st[:6], 4, *st[7:]))
+
+        monkeypatch.setattr(os, "stat", stale)
+        write_text(p, "abc\n")
+        assert p.read_bytes() == b"abc\n"
 
     def test_other_size_is_rewritten_without_a_read(self, tmp_path, opens):
         p = backdated(tmp_path / "f.txt", b"a longer old text\n")

@@ -149,6 +149,52 @@ class TestCollapseTokens:
         assert collapse_tokens([]) == ()
 
 
+class TestEmissions:
+    @pytest.mark.parametrize("state_to_class, classes", [
+        ([0, 1, 2], 3),
+        ([2, 0, 1], 3),
+        ([1, 1, 0], 3),
+        ([0, 1, 2], 5),
+    ], ids=["identity", "permuted", "repeated-class", "more-classes"])
+    def test_equals_the_gather_bit_for_bit(self, rng, state_to_class, classes):
+        hmm = HmmModel.from_probs([0.5, 0.25, 0.25], np.full((3, 3), 1 / 3),
+                                  ["a", "b", "c"], state_to_class)
+        values = rng.normal(size=(6, classes))
+        values[0, :2] = [-0.0, 0.0]  # the sign of a zero must survive too
+        values[1, :] = LOG_FLOOR
+        scores = LogScoreMatrix(values)
+        emis = decoder._emissions(scores, hmm)
+        gather = scores.values[:, np.array(state_to_class)]
+        assert (emis == gather).all()
+        assert (np.signbit(emis) == np.signbit(gather)).all()
+        assert not emis.flags.writeable
+
+    def test_identity_map_is_a_view(self):
+        hmm = make_uniform_hmm(3)
+        scores = LogScoreMatrix(np.zeros((2, 3)))
+        assert hmm._columns == slice(0, 3)
+        assert np.shares_memory(decoder._emissions(scores, hmm), scores.values)
+
+
+class TestFinalPick:
+    # The forward pass is replaced by one that returns delta for a single
+    # frame, so the final pick alone chooses the state and the score.
+    @pytest.mark.parametrize("delta, state", [
+        ([-0.0, 0.0], 0),
+        ([0.0, -0.0], 0),
+        ([-2.5, -2.5, -2.5], 0),
+        ([-3.0, -2.0, -1.0], 2),
+        ([LOG_FLOOR, -7.0, -1.0, -1.0], 2),
+    ], ids=["minus-zero-first", "zero-first", "all-equal", "late-max", "late-tie"])
+    def test_takes_the_first_maximal_state(self, monkeypatch, delta, state):
+        monkeypatch.setattr(decoder, "_scalar_forward", lambda emis, hmm: (list(delta), []))
+        hmm = make_uniform_hmm(len(delta))
+        result = viterbi_decode(LogScoreMatrix(np.zeros((1, len(delta)))), hmm)
+        assert result.state_path == (state,)
+        assert result.log_score == delta[state]
+        assert np.signbit(result.log_score) == np.signbit(delta[state])
+
+
 class TestViterbi:
     def test_single_frame_argmax(self):
         hmm = make_uniform_hmm(2)
