@@ -405,6 +405,28 @@ class TestManifest:
         assert again.utterances[0].utterance_id == "utt0000"
         assert again.noise == NoiseSpec(2.0, 0.1, 42)
 
+    @pytest.mark.parametrize("utterances, noise", [
+        (1, NoiseSpec(100.0, 0.3, 0)),
+        (2, NoiseSpec(math.inf, 0.0, 2**64 - 1)),
+        (2000, NoiseSpec(30.0, 0.25, 2**64 - 3)),
+    ], ids=["one", "two-inf-seed-max", "2000"])
+    def test_text_is_json_dumps_with_indent_2(self, tmp_path, rng, utterances, noise):
+        manifest = generate_corpus(make_random_hmm(rng, 2), utterances, (1, 2), noise, tmp_path)
+        doc = {"noise": {"concentration": noise.concentration,
+                         "confusion_rate": noise.confusion_rate, "seed": noise.seed},
+               "utterances": [{"id": u.utterance_id,
+                               "posteriors": os.path.basename(u.posteriors_path),
+                               "reference": os.path.basename(u.reference_path)}
+                              for u in manifest.utterances]}
+        assert (tmp_path / MANIFEST_NAME).read_text() == json.dumps(doc, indent=2) + "\n"
+
+    def test_text_escapes_strings_as_json_does(self):
+        noise = {"concentration": math.inf, "confusion_rate": 1e-300, "seed": 2**64 - 1}
+        entries = [("é\"\\\n\t x", "a b.post", "\U0001f600\x7f.ref"), ("u1", "/abs/u1.post", "")]
+        doc = {"noise": noise, "utterances": [
+            {"id": i, "posteriors": p, "reference": r} for i, p, r in entries]}
+        assert dataio._manifest_text(noise, entries) == json.dumps(doc, indent=2) + "\n"
+
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / MANIFEST_NAME
         p.write_text("[]")

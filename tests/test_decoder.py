@@ -427,20 +427,21 @@ class TestViterbiExact:
         assert viterbi_decode(scores, hmm).state_path[-1] == 1
 
 
-def kernel_instances():
-    """Seeded (emissions, model) pairs of 1-12 states and 1-40 frames for the scalar kernel.
+def kernel_instances(states=range(1, 13), frame_counts=None):
+    """Seeded (emissions, model) pairs for the forward passes, at each of `states`.
 
-    Each state count gets 1, 2 and 40 frames and two counts drawn between,
-    in three kinds: rows rounded to 0.5 (ties) with LOG_FLOOR in about a
-    quarter of the scores and transitions; a uniform model over all-equal
-    rows; and a model built from log scores whose one certain entry per row
-    is 0.0 or (mostly) -0.0, over scores mostly of -0.0, so that some
-    last-frame scores are -0.0 and a kernel that loses the sign shows.
+    Each state count gets each of `frame_counts` frames (by default 1, 2,
+    40 and two counts drawn between), in three kinds: rows rounded to 0.5
+    (ties) with LOG_FLOOR in about a quarter of the scores and transitions;
+    a uniform model over all-equal rows; and a model built from log scores
+    whose one certain entry per row is 0.0 or (mostly) -0.0, over scores
+    mostly of -0.0, so that some last-frame scores are -0.0 and a kernel
+    that loses the sign shows.
     """
     rng = np.random.default_rng(1919)
     out = []
-    for k in range(1, 13):
-        for frames in (1, 2, 40, *rng.integers(3, 40, size=2)):
+    for k in states:
+        for frames in frame_counts or (1, 2, 40, *rng.integers(3, 40, size=2)):
             trans = rng.dirichlet(np.ones(k), size=k)
             trans[rng.random((k, k)) < 0.25] = 0.0
             trans[:, 0] += 0.05
@@ -464,17 +465,25 @@ def kernel_instances():
     return out
 
 
+def assert_matches_frozen_loop(forward, instances):
+    """forward gives `frozen_scalar_forward`'s scores, sign bits and backpointers on each."""
+    negative_zeros = 0
+    for emis, hmm in instances:
+        delta, backptr = forward(emis, hmm)
+        want_delta, want_backptr = frozen_scalar_forward(emis, hmm)
+        assert delta == want_delta
+        assert (np.signbit(delta) == np.signbit(want_delta)).all()
+        assert [list(prev) for prev in backptr] == want_backptr
+        negative_zeros += sum(d == 0.0 and np.signbit(d) for d in want_delta)
+    assert negative_zeros > 0  # so the sign check can fail
+
+
 class TestScalarKernel:
     def test_matches_frozen_loop_bit_for_bit(self):
         instances = kernel_instances()
         assert {h.num_states for _, h in instances} == set(range(1, 13))
         assert {len(e) for e, _ in instances} >= {1, 2, 40}
-        for emis, hmm in instances:
-            delta, backptr = decoder._scalar_forward(emis, hmm)
-            want_delta, want_backptr = frozen_scalar_forward(emis, hmm)
-            assert delta == want_delta
-            assert (np.signbit(delta) == np.signbit(want_delta)).all()
-            assert [list(prev) for prev in backptr] == want_backptr
+        assert_matches_frozen_loop(decoder._scalar_forward, instances)
 
     def test_built_lazily_once_per_state_count(self, monkeypatch):
         env = dict(os.environ, PYTHONPATH=str(Path(decoder.__file__).resolve().parents[1]))
@@ -501,6 +510,16 @@ class TestScalarKernel:
         tree = ast.parse(decoder._scalar_source(num_states))
         constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
         assert all(type(c) is int and 0 <= c < num_states for c in constants)
+
+
+class TestArrayPass:
+    # The frozen loop is valid at any K; a scalar kernel would not be built
+    # at these K, as its source grows as K squared.
+    def test_blocks_match_frozen_loop_bit_for_bit(self):
+        rows = decoder.ROWS
+        states = (rows - 1, rows, rows + 1, 2 * rows + 1, 130)  # short last blocks too
+        instances = kernel_instances(states, (1, 2, 30))
+        assert_matches_frozen_loop(decoder._array_forward, instances)
 
 
 class TestExhaustive:

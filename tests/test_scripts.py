@@ -1,4 +1,4 @@
-"""The two example scripts run end to end as separate processes."""
+"""The example and measurement scripts run end to end as separate processes."""
 
 import json
 import subprocess
@@ -45,3 +45,12 @@ def test_make_figures_writes_svgs(tmp_path):
     for order in (4, 6):
         assert (out / f"correspondence_order{order}.svg").read_text().startswith("<svg")
         assert (out / f"correspondence_order{order}.txt").exists()
+
+
+def test_forward_sweep_times_both_passes():
+    proc = run_script("forward_sweep.py", "--states", "3,11", "--rounds", "1", "--calls", "2")
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert "ROWS=" in header and "SCALAR_MAX_STATES=" in header
+    assert [line.split()[0] for line in lines] == ["K=3", "K=11"]
+    assert all("array/scalar" in line for line in lines)
