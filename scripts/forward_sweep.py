@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time Viterbi's forward passes per state count K, for SCALAR_MAX_STATES and ROWS.
+"""Time Viterbi's forward passes per state count K, for SCALAR_MAX_STATES.
 
     python3 scripts/forward_sweep.py --states 3,10,11,12,20 --frames 10:25 --cpu 1
 
@@ -10,8 +10,6 @@ and times these passes over all the calls, once each per round:
 * ``array``: `decoder._array_forward` as committed;
 * ``scalar``: `decoder._scalar_forward`, up to K = --scalar-max (its
   generated source grows as K squared);
-* ``rows=R``: the array pass with `decoder.ROWS` set to R, for each R of
-  --rows;
 * ``base``: the array pass of another checkout's ``src`` directory
   (--baseline), such as the parent commit's.
 
@@ -65,20 +63,9 @@ def load_baseline(src: str):
 
 def passes_for(k: int, hmm: HmmModel, args, base) -> dict:
     """Each pass to time, as a function of the emissions alone."""
-    def with_rows(rows):
-        def forward(emis):
-            committed, decoder.ROWS = decoder.ROWS, rows
-            try:
-                return decoder._array_forward(emis, hmm)
-            finally:
-                decoder.ROWS = committed
-        return forward
-
     passes = {"array": lambda emis: decoder._array_forward(emis, hmm)}
     if k <= args.scalar_max:
         passes["scalar"] = lambda emis: decoder._scalar_forward(emis, hmm)
-    for rows in args.rows:
-        passes[f"rows={rows}"] = with_rows(rows)
     if base is not None:
         base_hmm = base.HmmModel(hmm.log_initial, hmm.log_transitions,
                                  hmm.state_labels, hmm.state_to_class)
@@ -131,7 +118,6 @@ def main() -> int:
                         help="frames per call, 'N' or 'LO:HI'")
     parser.add_argument("--calls", type=int, default=100, help="calls per pass and round")
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--rows", type=int_list, default="", help="ROWS values to time too")
     parser.add_argument("--scalar-max", type=int, default=20)
     parser.add_argument("--baseline", help="src directory of a checkout to time against")
     parser.add_argument("--seed", type=int, default=0)
@@ -142,8 +128,7 @@ def main() -> int:
         os.sched_setaffinity(0, {args.cpu})
     base = None if args.baseline is None else load_baseline(args.baseline)
     print(f"frames {args.frames[0]}-{args.frames[1]}, {args.calls} calls, "
-          f"{args.rounds} rounds, ROWS={decoder.ROWS}, "
-          f"SCALAR_MAX_STATES={decoder.SCALAR_MAX_STATES}", flush=True)
+          f"{args.rounds} rounds, SCALAR_MAX_STATES={decoder.SCALAR_MAX_STATES}", flush=True)
     for k in args.states:
         print(sweep_one(k, args, base), flush=True)
     return 0

@@ -191,9 +191,14 @@ def load_posteriors(path) -> PosteriorMatrix:
     The header is checked first, at line 1. All values are then parsed in
     one bulk call and checked as one array: its shape, then its entries and
     row sums by `PosteriorMatrix`. If any of that fails,
-    `_raise_first_bad_line` walks the file to name the bad line.
+    `_raise_first_bad_line` walks the file to name the bad line. int() and
+    float() take digit-grouping underscores ("1_0" is 10); the format has
+    none, so a file holding "_" takes the refusing paths too.
     """
-    lines = read_text(path).splitlines()
+    text = read_text(path)
+    grouped = "_" in text
+    lines = text.splitlines()
+    del text  # freed before the bulk parse: lines hold the same characters
     if not lines:
         raise DataFormatError(path, 1, "empty file; expected a 'frames classes' header")
     header = lines[0].split()
@@ -202,6 +207,8 @@ def load_posteriors(path) -> PosteriorMatrix:
             path, 1, f"malformed header {lines[0]!r}; expected 'frames classes'"
         )
     try:
+        if "_" in lines[0]:
+            raise ValueError
         frames, classes = int(header[0]), int(header[1])
     except ValueError:
         raise DataFormatError(
@@ -222,7 +229,7 @@ def load_posteriors(path) -> PosteriorMatrix:
         )
     try:
         values = np.array(rows, dtype=np.float64)
-        if values.shape == (frames, classes):
+        if values.shape == (frames, classes) and not grouped:
             return PosteriorMatrix(values)
     except ValueError:  # ragged rows, a token float() rejects, a bad entry or row sum
         pass
@@ -242,11 +249,10 @@ def _raise_first_bad_line(path: str | os.PathLike, lines: list[str], classes: in
             raise DataFormatError(
                 path, lineno, f"expected {classes} values, found {len(tokens)}"
             )
-        try:
-            row = np.array([float(tok) for tok in tokens])
-        except ValueError:
-            bad = next(tok for tok in tokens if not _is_float(tok))
-            raise DataFormatError(path, lineno, f"non-numeric token {bad!r}") from None
+        bad = next((tok for tok in tokens if not _is_float(tok)), None)
+        if bad is not None:
+            raise DataFormatError(path, lineno, f"non-numeric token {bad!r}")
+        row = np.array([float(tok) for tok in tokens])
         if not ((row >= 0) & (row <= 1)).all():
             raise DataFormatError(path, lineno, "probabilities must be in [0, 1]")
         if check_row_sums(row[None, :]) is not None:
@@ -255,6 +261,9 @@ def _raise_first_bad_line(path: str | os.PathLike, lines: list[str], classes: in
 
 
 def _is_float(tok: str) -> bool:
+    """Whether tok is a number of the text formats: one float() reads, without "_"."""
+    if "_" in tok:
+        return False
     try:
         float(tok)
         return True
@@ -362,10 +371,13 @@ def save_transcript(tokens, path) -> None:
 
 
 def load_priors(path) -> np.ndarray:
-    tokens = read_text(path).split()
+    text = read_text(path)
+    tokens = text.split()
     if not tokens:
         raise DataFormatError(path, 1, "empty priors file")
     try:
+        if "_" in text:  # float() reads "0.2_5" as 0.25
+            raise ValueError
         vals = np.array([float(tok) for tok in tokens], dtype=np.float64)
     except ValueError:
         bad = next(tok for tok in tokens if not _is_float(tok))

@@ -8,15 +8,14 @@ numpy call per frame: `_scalar_kernel` generates its source from the state
 count K alone, with every state's score and transition entry a local
 variable, and compiles it once per process and K, so all models of K states
 share it. Above that it runs a numpy frame loop (`_array_forward`): a
-frame step copies the scores into a buffer of at most ROWS rows, adds it
-to the transposed transitions one contiguous block of ROWS rows at a time
-(an add of two arrays of one shape, which costs less than broadcasting a
-vector over a K x K array), takes each row's first maximum with `argmax`
-and gathers the winners by flat index. Up to K of about 64 its cost is
-mostly numpy's per-call overhead; past that it grows as K squared. Both add
-the same floats in the same order and keep the lowest index among equal
-candidates, so they give identical paths and scores; the final pick and
-the backtrace are shared.
+frame step copies the scores into each row of a K x K buffer, adds the
+transposed transitions to it in place (two contiguous loops, which cost
+less than broadcasting a vector over a K x K array), takes each row's
+first maximum with `argmax` and gathers the winners by flat index. Up
+to K of about 64 its cost is mostly numpy's per-call overhead; past that
+it grows as K squared. Both add the same floats in the same order and
+keep the lowest index among equal candidates, so they give identical
+paths and scores; the final pick and the backtrace are shared.
 
 Emission scores come from a LogScoreMatrix through the model's column
 selector (`_emissions`), a basic slice and so a view when state s scores
@@ -189,12 +188,11 @@ def _result(path: list[int], log_score: float, hmm: HmmModel) -> DecodingResult:
 
 # Largest state count that takes the scalar forward pass. scripts/forward_sweep.py
 # at T 10-25 on a 2-vCPU host (one CPU, 40 alternating rounds of 100 calls,
-# two seeds) puts the crossover between K=10 and K=11: the scalar pass was
-# faster in 39 and 40 of 40 rounds at K=9, in 38 and 35 at K=10 (median
-# round ratio array/scalar 1.07 and 1.09; 50-52 against 52-56 us per call),
-# but slower in 28 and 38 of 40 at K=11 (0.90 and 0.91), in 28 and 40 at
-# K=12, and 2.8x slower at K=20. Compiling a kernel costs 0.5 ms at K=3
-# and 4 ms at K=10, once per process and state count.
+# five runs over seeds 0-2) puts the crossover between K=10 and K=11: the
+# median round ratio array/scalar read 1.17-1.44 at K=9, 0.98-1.22 at K=10
+# (above 1 in four runs of five), 0.82-1.06 at K=11 (below 1 in four of
+# five), 0.73-0.92 at K=12 and 0.30 at K=20. Compiling a kernel costs
+# 0.3-0.4 ms at K=3 and 2-3 ms at K=10, once per process and state count.
 SCALAR_MAX_STATES = 10
 
 
@@ -282,42 +280,26 @@ def _scalar_source(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Rows of trans_t that one add in `_array_forward` covers. scripts/forward_sweep.py
-# at 200-300 frames on a 2-vCPU host (one CPU, 20 alternating rounds of 10
-# calls, two seeds), against 64 rows: 32 rows were within 2% either way at
-# every K from 11 to 500; 128 rows 4-11% slower at K 128-500 (4-6% faster
-# at K=65, one add in place of two); in one seed, 16 rows 3-12% slower at
-# K 20-500, and one block of all K rows 1.3x slower at K=256 and 1.5x at
-# K=500, where its copy of delta alone is 0.5 and 2 MB written every frame.
-ROWS = 64
-
-
 def _array_forward(emis: np.ndarray, hmm: HmmModel) -> tuple[list, list]:
     """Forward pass in numpy, one frame per step; returns what `_scalar_forward` does.
 
     cand[j, i] = delta[i] + trans[i, j]: row j holds every way into state j,
     so the argmax runs along a contiguous axis, and each row's winner taken
     from the flat buffer is the very value that argmax chose. A frame step
-    copies delta into each row of `rep`, then adds `rep` to trans_t one
-    block of ROWS rows at a time: an add of two arrays of one shape runs
-    numpy's contiguous loop, where adding the vector delta to a (K, K) array
-    sets up a broadcast that costs more than the copy. `rep` holds at most
-    ROWS rows, so at large K it is one small buffer, not a second K x K one.
+    copies delta into each row of cand and adds trans_t to it in place:
+    two contiguous loops that cost less than adding the vector delta to a
+    (K, K) array, which sets up a broadcast.
     """
     num_frames, num_states = emis.shape
     trans_t = np.ascontiguousarray(hmm.log_transitions.T)
     flat = np.empty(num_states * num_states)
     cand = flat.reshape(num_states, num_states)
-    rep = np.empty((min(num_states, ROWS), num_states))
-    blocks = [(trans_t[r:r + ROWS], rep[:num_states - r], cand[r:r + ROWS])
-              for r in range(0, num_states, ROWS)]
     row_start = np.arange(0, num_states * num_states, num_states)
     backptr = np.empty((num_frames - 1, num_states), dtype=np.intp)
     delta = hmm.log_initial + emis[0]
     for e, prev in zip(emis[1:], backptr):
-        rep[...] = delta
-        for trans_rows, delta_rows, cand_rows in blocks:
-            np.add(trans_rows, delta_rows, cand_rows)
+        cand[...] = delta
+        cand += trans_t
         cand.argmax(1, out=prev)  # first max = lowest index
         delta = flat[row_start + prev]
         delta += e

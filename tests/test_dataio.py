@@ -120,9 +120,11 @@ class TestPosteriorFormat:
         ("0 3\n", 1, "malformed header '0 3'; needs >= 1 frame and >= 2 classes"),
         ("2 1\n1\n\n1\n", 1, "malformed header '2 1'; needs >= 1 frame and >= 2 classes"),
         ("2 2\n\n0.5 0.25 0.25\n0.5 0.25 0.25\n", 3, "expected 2 values, found 3"),
+        ("1_0 2\n" + "0.5 0.5\n" * 10, 1, "malformed header '1_0 2'; expected two integers"),
+        ("2 2\n0.5 0.5\n0.4_5 0.5_5\n", 3, "non-numeric token '0.4_5'"),
     ], ids=["token-count", "non-numeric", "nan", "inf", "out-of-range", "row-sum", "row-count",
             "negative-frames", "negative-classes", "empty", "non-integer-header", "zero-frames",
-            "one-class", "every-row-too-long"])
+            "one-class", "every-row-too-long", "underscore-header", "underscore-value"])
     def test_malformed_row_names_file_line(self, tmp_path, text, line, message):
         p = tmp_path / "m.post"
         p.write_text(text)
@@ -272,7 +274,8 @@ class TestPriors:
     @pytest.mark.parametrize("text, line, message", [
         ("", 1, "empty priors file"),
         ("0.5 x 0.5\n", None, "non-numeric token 'x'"),
-    ], ids=["empty", "non-numeric"])
+        ("0.75 0.2_5\n", None, "non-numeric token '0.2_5'"),
+    ], ids=["empty", "non-numeric", "underscore"])
     def test_malformed_names_file(self, tmp_path, text, line, message):
         p = tmp_path / "pri.txt"
         p.write_text(text)

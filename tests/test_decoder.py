@@ -515,10 +515,8 @@ class TestScalarKernel:
 class TestArrayPass:
     # The frozen loop is valid at any K; a scalar kernel would not be built
     # at these K, as its source grows as K squared.
-    def test_blocks_match_frozen_loop_bit_for_bit(self):
-        rows = decoder.ROWS
-        states = (rows - 1, rows, rows + 1, 2 * rows + 1, 130)  # short last blocks too
-        instances = kernel_instances(states, (1, 2, 30))
+    def test_matches_frozen_loop_bit_for_bit(self):
+        instances = kernel_instances((11, 20, 63, 64, 65, 129, 130), (1, 2, 30))
         assert_matches_frozen_loop(decoder._array_forward, instances)
 
 

@@ -48,9 +48,10 @@ def test_make_figures_writes_svgs(tmp_path):
 
 
 def test_forward_sweep_times_both_passes():
-    proc = run_script("forward_sweep.py", "--states", "3,11", "--rounds", "1", "--calls", "2")
+    # K=65 is past --scalar-max, so only the array pass runs and is checked there.
+    proc = run_script("forward_sweep.py", "--states", "3,11,65", "--rounds", "1", "--calls", "2")
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stdout.splitlines()
-    assert "ROWS=" in header and "SCALAR_MAX_STATES=" in header
-    assert [line.split()[0] for line in lines] == ["K=3", "K=11"]
-    assert all("array/scalar" in line for line in lines)
+    assert "SCALAR_MAX_STATES=" in header
+    assert [line.split()[0] for line in lines] == ["K=3", "K=11", "K=65"]
+    assert ["array/scalar" in line for line in lines] == [True, True, False]
