@@ -71,7 +71,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
-    reference = pipeline.load_reference(args.reference)
+    reference = dataio.load_reference(args.reference)
     hypothesis = dataio.load_transcript(args.hypothesis)
     rep = align_and_score(reference, hypothesis)
     if args.format == "machine":

@@ -11,11 +11,22 @@ save -> load round-trips are exact):
   state_to_class; probabilities are stored linearly and converted to logs
   on load. Labels must be strings. Unknown fields are rejected.
   `load_hmm` checks the JSON types and `num_states`; `HmmModel` the rest.
+* priors: whitespace-separated positive numbers, one per class.
 * transcript: one token per line.
 * corpus manifest: JSON listing utterance ids and their posterior and
   reference files (all non-empty strings), plus the generator seed and
   noise parameters. Unknown keys are rejected. A `CorpusUtterance` holds
-  its paths as strings, each the `os.fspath` of its directory / file name.
+  its paths as strings, each the `os.fspath` of its directory / file name,
+  and its reference tokens: `generate_corpus` fills them from the tokens
+  it writes, and `load_manifest` reads each reference file once, through
+  `load_reference`. So a corpus an experiment generates is never read
+  back for its references.
+
+The number formats (posterior matrices and priors) are ASCII without "_":
+int() and float() read any Unicode decimal digit (a full-width zero, an
+Arabic-Indic one) and digit-grouping underscores, and str.split() splits at
+any Unicode space, so a posterior or priors file holding a non-ASCII
+character or "_" is refused.
 
 `read_text` is the one reader for every text file the program reads, and
 `write_text` the one writer for every file the program writes. Both use
@@ -67,7 +78,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .decoder import HmmModel, collapse_tokens
+from .decoder import HmmModel, path_tokens
 from .errors import DataFormatError, ValidationError
 from .posteriors import PosteriorMatrix, _row_sum_error, check_row_sums, numeric_array
 
@@ -86,6 +97,7 @@ __all__ = [
     "save_posteriors",
     "load_hmm",
     "load_transcript",
+    "load_reference",
     "save_transcript",
     "load_priors",
     "load_manifest",
@@ -193,9 +205,10 @@ def load_posteriors(path) -> PosteriorMatrix:
     row sums by `PosteriorMatrix`. If any of that fails,
     `_raise_first_bad_line` walks the file to name the bad line. int() and
     float() take digit-grouping underscores ("1_0" is 10); the format has
-    none, so a file holding "_" takes the refusing paths too.
+    none, so a file holding "_" takes the refusing paths too. A non-ASCII
+    character is refused first (`_ascii_text`).
     """
-    text = read_text(path)
+    text = _ascii_text(path)
     grouped = "_" in text
     lines = text.splitlines()
     del text  # freed before the bulk parse: lines hold the same characters
@@ -258,6 +271,20 @@ def _raise_first_bad_line(path: str | os.PathLike, lines: list[str], classes: in
         if check_row_sums(row[None, :]) is not None:
             raise DataFormatError(path, lineno, str(_row_sum_error("row", row)))
     raise DataFormatError(path, None, "rows fail the bulk checks, but no single line does")
+
+
+def _ascii_text(path) -> str:
+    """The text of the file at path if it is ASCII; else a DataFormatError naming the first
+    other character and its line, counted as `str.splitlines` counts lines.
+
+    `str.isascii` costs O(1): CPython records whether a string is ASCII.
+    """
+    text = read_text(path)
+    if not text.isascii():
+        i, ch = next((i, ch) for i, ch in enumerate(text) if not ch.isascii())
+        raise DataFormatError(path, len(text[:i + 1].splitlines()),
+                              f"non-ASCII character {ch!r} (U+{ord(ch):04X})")
+    return text
 
 
 def _is_float(tok: str) -> bool:
@@ -366,12 +393,23 @@ def load_transcript(path) -> tuple[str, ...]:
     return tuple(tok for tok in tokens if tok)
 
 
+def load_reference(path) -> tuple[str, ...]:
+    """The reference transcript in path; an empty one is refused, naming the file.
+
+    `align_and_score` refuses an empty reference too, but cannot name the file.
+    """
+    tokens = load_transcript(path)
+    if not tokens:
+        raise DataFormatError(path, None, "reference must be non-empty")
+    return tokens
+
+
 def save_transcript(tokens, path) -> None:
     write_text(path, "".join(f"{tok}\n" for tok in tokens))
 
 
 def load_priors(path) -> np.ndarray:
-    text = read_text(path)
+    text = _ascii_text(path)
     tokens = text.split()
     if not tokens:
         raise DataFormatError(path, 1, "empty priors file")
@@ -444,9 +482,12 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class CorpusUtterance:
+    """One utterance of a corpus: its id, its two files and the tokens of its reference file."""
+
     utterance_id: str
     posteriors_path: str
     reference_path: str
+    reference: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -461,6 +502,11 @@ class CorpusManifest:
 
 
 def load_manifest(path) -> CorpusManifest:
+    """The manifest at path, with each utterance's reference read once by `load_reference`.
+
+    An error in the manifest names it; one in a reference file (empty, not
+    UTF-8) names that file.
+    """
     path = Path(path)
     doc = load_json(path)
     base = path.parent
@@ -477,8 +523,11 @@ def load_manifest(path) -> CorpusManifest:
             for p in paths:
                 if not p.exists():
                     raise ValidationError(f"referenced file {p} does not exist")
-            utts.append(CorpusUtterance(uid, *map(os.fspath, paths)))
+            post, ref = map(os.fspath, paths)
+            utts.append(CorpusUtterance(uid, post, ref, load_reference(ref)))
         return CorpusManifest(tuple(utts), noise)
+    except DataFormatError:
+        raise  # a reference file's own error, which names that file
     except ValidationError as exc:
         raise DataFormatError(path, None, str(exc)) from None
 
@@ -586,7 +635,8 @@ def generate_corpus(
     """Write a synthetic corpus and its manifest file under out_dir and return the manifest.
 
     Each utterance samples a state path from the HMM, takes the collapsed
-    labels as the reference transcript, and emits per-frame posterior rows
+    labels (`path_tokens`) as the reference transcript, which its
+    `CorpusUtterance` holds too, and emits per-frame posterior rows
     centered (modulo confusion events) on the true class. Utterance i draws
     from SplitMix64(seed + i), with seed + i taken mod 2**64, so generation
     is reproducible and utterances are independent of corpus size or
@@ -621,6 +671,7 @@ def generate_corpus(
     init_cum = _capped_sums(np.exp(hmm.log_initial).tolist())
     trans_cum = list(map(_capped_sums, np.exp(hmm.log_transitions).tolist()))
     state_class = hmm.state_to_class.tolist()
+    labels = hmm.state_labels
     rate = noise.confusion_rate
     block = max(1, _BLOCK_DRAWS // utt_draws)
     utts = []
@@ -655,12 +706,11 @@ def generate_corpus(
         rows = PosteriorMatrix(rows).values
         for i, states, end in zip(ids, paths, ends):
             start = end - len(states)
-            reference = collapse_tokens([hmm.state_labels[s] for s in states])
             uid = f"utt{i:04d}"
             stem = os.path.join(base, uid)
-            utt = CorpusUtterance(uid, f"{stem}.post", f"{stem}.ref")
+            utt = CorpusUtterance(uid, f"{stem}.post", f"{stem}.ref", path_tokens(states, labels))
             save_posteriors(PosteriorMatrix._unchecked(rows[start:end]), utt.posteriors_path)
-            save_transcript(reference, utt.reference_path)
+            save_transcript(utt.reference, utt.reference_path)
             utts.append(utt)
     # Every file lies beside the manifest, so its name is its path from there.
     entries = [(u.utterance_id, os.path.basename(u.posteriors_path),

@@ -19,9 +19,13 @@ paths and scores; the final pick and the backtrace are shared.
 
 Emission scores come from a LogScoreMatrix through the model's column
 selector (`_emissions`), a basic slice and so a view when state s scores
-column s, and paths become results through `_result`. The test suite's
-oracle, which scores every state path outright (`tests/oracles.py`), uses
-those two helpers too, so it and the DP differ only in how they search.
+column s. Score values are read-only, and so is such a view; only a
+gathered copy is flagged so. Paths become results through `_result`,
+whose tokens come from `path_tokens`: it collapses runs of one state
+before runs of one label, and the corpus generator makes its references
+with it too. The test suite's oracle, which scores every state path
+outright (`tests/oracles.py`), uses `_emissions` and `_result` as well,
+so it and the DP differ only in how they search.
 
 `HmmModel` owns the model's invariants (labels a transcript can hold, one
 label and class per state, distributions summing to 1 by
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +51,7 @@ __all__ = [
     "DecodingResult",
     "viterbi_decode",
     "collapse_tokens",
+    "path_tokens",
 ]
 
 
@@ -169,21 +174,32 @@ def collapse_tokens(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple([label for label, _ in groupby(labels)])
 
 
+def path_tokens(path: Iterable[int], labels: Sequence[str]) -> tuple[str, ...]:
+    """The token sequence of a state path: `collapse_tokens` of its states' labels.
+
+    Runs of one state are collapsed first, as ints, so each run's label is
+    looked up once; the labels are then collapsed again, since distinct
+    states may share one.
+    """
+    return collapse_tokens([labels[state] for state, _ in groupby(path)])
+
+
 def _emissions(scores: LogScoreMatrix, hmm: HmmModel) -> np.ndarray:
+    """The scores of each state's column, read-only: a view of scores when `_columns` is a slice."""
     if hmm.max_class >= scores.classes:
         raise ValidationError(
             f"state_to_class refers to column {hmm.max_class} but the score "
             f"matrix has {scores.classes} classes"
         )
     emis = scores.values[:, hmm._columns]
-    emis.flags.writeable = False  # as a view of scores is
+    if not isinstance(hmm._columns, slice):  # a gathered copy; a view of scores is read-only
+        emis.flags.writeable = False
     return emis
 
 
 def _result(path: list[int], log_score: float, hmm: HmmModel) -> DecodingResult:
     """The result for a state path of Python ints, as `viterbi_decode` builds it."""
-    tokens = collapse_tokens(map(hmm.state_labels.__getitem__, path))
-    return DecodingResult(tuple(path), tokens, float(log_score))
+    return DecodingResult(tuple(path), path_tokens(path, hmm.state_labels), float(log_score))
 
 
 # Largest state count that takes the scalar forward pass. scripts/forward_sweep.py

@@ -4,8 +4,7 @@
 corpus (`experiment`): it scores consecutive matrices in chunks of at most
 CHUNK_ENTRIES entries, one transform and one log-score call per chunk, and
 runs Viterbi per file. `check_posterior_fit` refuses a posterior file that
-does not fit its HMM or priors and `load_reference` an empty reference,
-each naming the file at fault.
+does not fit its HMM or priors, naming the file at fault.
 `read_config` checks an experiment config, and `run_experiment` decodes the
 corpus at each order and returns the report document: the config echo and
 each order's pooled WER and reduction against order 2. Each order's decode
@@ -96,17 +95,6 @@ def check_posterior_fit(matrix: PosteriorMatrix, path, hmm: HmmModel,
             priors_path, None,
             f"priors must have one entry per class ({matrix.classes}), got {priors.size}"
         )
-
-
-def load_reference(path) -> tuple[str, ...]:
-    """The reference transcript in `path`; an empty one is refused, naming the file.
-
-    `align_and_score` refuses an empty reference too, but cannot name the file.
-    """
-    tokens = dataio.load_transcript(path)
-    if not tokens:
-        raise DataFormatError(path, None, "reference must be non-empty")
-    return tokens
 
 
 def wer_line(rep: WerReport) -> str:
@@ -203,8 +191,11 @@ def run_experiment(config: ExperimentConfig, base_dir: Path) -> tuple[dict, list
     WER 0 (no finite ratio). The echo's 'renormalize' is always true. The
     decode seconds stay out of it, so reruns write identical bytes. The same
     loaded posterior matrices are reused for every order, so the transform
-    is the only varying factor. Every reference and every posterior file's
-    fit to the HMM and priors are checked before anything is decoded.
+    is the only varying factor. The references are the manifest's: a
+    generated corpus's come from the generator and a read manifest's were
+    read, and refused if empty, by `dataio.load_manifest`; no reference
+    file is read here. Every posterior file's fit to the HMM and priors is
+    checked before anything is decoded.
     """
     hmm = dataio.load_hmm(base_dir / config.hmm)
     priors = priors_path = None
@@ -217,12 +208,8 @@ def run_experiment(config: ExperimentConfig, base_dir: Path) -> tuple[dict, list
         utterances, frames, noise, out_dir = config.generate
         manifest = dataio.generate_corpus(hmm, utterances, frames, noise, base_dir / out_dir)
 
-    loaded = [
-        (dataio.load_posteriors(u.posteriors_path), load_reference(u.reference_path))
-        for u in manifest.utterances
-    ]
-    matrices = [matrix for matrix, _ in loaded]
-    refs = [ref for _, ref in loaded]
+    matrices = [dataio.load_posteriors(u.posteriors_path) for u in manifest.utterances]
+    refs = [u.reference for u in manifest.utterances]
     for u, matrix in zip(manifest.utterances, matrices):
         check_posterior_fit(matrix, u.posteriors_path, hmm, priors, priors_path)
     entries = []

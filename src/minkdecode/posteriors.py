@@ -9,9 +9,9 @@ transform is strictly increasing, neither step can change a row's argmax or
 its full sort order; the rescaling only shifts that frame's log-scores by a
 constant, which the Viterbi path is invariant to.
 
-Both matrix types check their shape and entries in one shared base (one
-pass over the entries: in [0, 1] for posteriors, finite for log scores),
-and `PosteriorMatrix` its row sums; both compare and hash by identity.
+Both matrix types check their shape and entries in one shared base (in
+[0, 1] by the least and greatest entry for posteriors, finite for log
+scores), and `PosteriorMatrix` its row sums; both compare and hash by identity.
 `transform_matrix` and `to_log_scores` wrap their outputs without it
 (`_Matrix._unchecked`): computed from a checked matrix, they pass by construction.
 So do `stack_rows`, which joins the rows of several posterior matrices of
@@ -71,7 +71,7 @@ class _Matrix:
             raise ValidationError(
                 f"{self._KIND} needs >= 1 frame and >= 2 classes, got shape {arr.shape}"
             )
-        if not self._accepts(arr).all():
+        if not self._accepts(arr):
             raise ValidationError(f"{self._KIND} entries must be {self._RULE}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -106,8 +106,8 @@ class _Matrix:
         return out
 
     @staticmethod
-    def _accepts(arr: np.ndarray) -> np.ndarray:
-        return np.isfinite(arr)
+    def _accepts(arr: np.ndarray) -> bool:
+        return bool(np.isfinite(arr).all())
 
     @property
     def frames(self) -> int:
@@ -134,9 +134,10 @@ class PosteriorMatrix(_Matrix):
             raise _row_sum_error(f"row {bad}", self.values[bad])
 
     @staticmethod
-    def _accepts(arr: np.ndarray) -> np.ndarray:
-        # NaN fails both comparisons, so this also rejects non-finite entries.
-        return (arr >= 0) & (arr <= 1)
+    def _accepts(arr: np.ndarray) -> bool:
+        # min and max are NaN if any entry is, and NaN fails both comparisons,
+        # so this also rejects non-finite entries.
+        return bool(arr.min() >= 0 and arr.max() <= 1)
 
 
 class LogScoreMatrix(_Matrix):
@@ -252,10 +253,16 @@ def _holds_bool(values, ndim: int) -> bool:
 
 
 def check_row_sums(values: np.ndarray) -> int | None:
-    """Index of the first row whose sum is off 1 by more than ROW_SUM_TOLERANCE, else None."""
-    sums = np.asarray(values, dtype=np.float64).sum(axis=1)
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
-    return int(np.flatnonzero(bad)[0]) if bad.any() else None
+    """Index of the first row whose sum is off 1 by more than ROW_SUM_TOLERANCE, else None.
+
+    A NaN sum is not off by more than the tolerance. One `fmax` reduction,
+    which skips NaN as the comparison does, accepts the rows; only then is
+    the first bad one looked for.
+    """
+    off = np.abs(np.asarray(values, dtype=np.float64).sum(axis=1) - 1.0)
+    if not np.fmax.reduce(off, initial=0.0) > ROW_SUM_TOLERANCE:
+        return None
+    return int(np.flatnonzero(off > ROW_SUM_TOLERANCE)[0])
 
 
 def _row_sum_error(row: str, values: np.ndarray) -> ValidationError:

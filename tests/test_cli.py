@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minkdecode import align_and_score, cli, pipeline
+from minkdecode import align_and_score, cli, dataio, pipeline
 from minkdecode.dataio import load_posteriors, load_transcript
 
 T4_01 = 0.324666488787  # grid-oracle transform(0.1, order=4)
@@ -421,6 +421,42 @@ class TestExperimentCommand:
         assert f"error: {empty}: reference must be non-empty" in capsys.readouterr().err
         assert decoded == []
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("data, where", [(b"", ""), (b"red\n\xffgreen\n", ":2")],
+                             ids=["empty", "not-utf8"])
+    def test_bad_reference_file_exits_2_naming_it(self, tmp_path, demo_hmm, capsys,
+                                                  data, where):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--hmm", str(demo_hmm), "--utterances", "3",
+                         "--frames", "4:6", "--out", str(corpus)]) == 0
+        bad = corpus / "utt0002.ref"
+        bad.write_bytes(data)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"hmm": demo_hmm.name,
+                                   "corpus": {"manifest": "corpus/manifest.json"}}))
+        capsys.readouterr()
+        assert cli.main(["experiment", str(cfg)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {bad}{where}: ")
+
+    # References come from the manifest: the generator's own tokens, or each
+    # reference file read once when the manifest is loaded.
+    @pytest.mark.parametrize("generated", [True, False], ids=["generated", "manifest"])
+    def test_reads_each_reference_file_at_most_once(self, tmp_path, demo_hmm, monkeypatch,
+                                                    generated):
+        cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 17)
+        assert cli.main(["experiment", str(cfg)]) == 0
+        orders = json.loads((tmp_path / "report.json").read_text())["orders"]
+        if not generated:
+            doc = json.loads(cfg.read_text())
+            doc["corpus"] = {"manifest": "corpus/manifest.json"}
+            cfg.write_text(json.dumps(doc))
+        read = []
+        load = dataio.load_transcript
+        monkeypatch.setattr(dataio, "load_transcript", lambda path: read.append(path) or load(path))
+        assert cli.main(["experiment", str(cfg)]) == 0
+        refs = sorted(str(p) for p in (tmp_path / "corpus").glob("*.ref"))
+        assert sorted(map(str, read)) == ([] if generated else refs)
+        assert json.loads((tmp_path / "report.json").read_text())["orders"] == orders
 
     def test_matches_stepwise_decode_and_score(self, tmp_path, demo_hmm):
         cfg = experiment_config(tmp_path, demo_hmm, 5.0, 0.3, 17, orders=(4,))

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as npst
 
 from minkdecode import (
     DataFormatError,
+    HmmModel,
     PosteriorMatrix,
     ValidationError,
     cli,
@@ -122,9 +123,14 @@ class TestPosteriorFormat:
         ("2 2\n\n0.5 0.25 0.25\n0.5 0.25 0.25\n", 3, "expected 2 values, found 3"),
         ("1_0 2\n" + "0.5 0.5\n" * 10, 1, "malformed header '1_0 2'; expected two integers"),
         ("2 2\n0.5 0.5\n0.4_5 0.5_5\n", 3, "non-numeric token '0.4_5'"),
+        # float() and int() read non-ASCII digits, and split() splits at NBSP.
+        ("2 2\n0.5 0.5\n\uff10.5 0.5\n", 3, "non-ASCII character '\uff10' (U+FF10)"),
+        ("\u0661 2\n0.5 0.5\n", 1, "non-ASCII character '\u0661' (U+0661)"),
+        ("1 2\n0.5\xa00.5\n", 2, "non-ASCII character '\\xa0' (U+00A0)"),
     ], ids=["token-count", "non-numeric", "nan", "inf", "out-of-range", "row-sum", "row-count",
             "negative-frames", "negative-classes", "empty", "non-integer-header", "zero-frames",
-            "one-class", "every-row-too-long", "underscore-header", "underscore-value"])
+            "one-class", "every-row-too-long", "underscore-header", "underscore-value",
+            "full-width-digit", "arabic-indic-header", "nbsp-separator"])
     def test_malformed_row_names_file_line(self, tmp_path, text, line, message):
         p = tmp_path / "m.post"
         p.write_text(text)
@@ -275,7 +281,8 @@ class TestPriors:
         ("", 1, "empty priors file"),
         ("0.5 x 0.5\n", None, "non-numeric token 'x'"),
         ("0.75 0.2_5\n", None, "non-numeric token '0.2_5'"),
-    ], ids=["empty", "non-numeric", "underscore"])
+        ("0.5\n\uff10.5\n", 2, "non-ASCII character '\uff10' (U+FF10)"),
+    ], ids=["empty", "non-numeric", "underscore", "full-width-digit"])
     def test_malformed_names_file(self, tmp_path, text, line, message):
         p = tmp_path / "pri.txt"
         p.write_text(text)
@@ -499,6 +506,33 @@ class TestManifest:
         with pytest.raises(DataFormatError, match=f"^{prefix}"):
             load_manifest(p)
 
+    def test_entry_holds_its_reference_file_tokens(self, tmp_path, rng):
+        save_posteriors(make_random_posteriors(rng, 1, 2), tmp_path / "u.post")
+        (tmp_path / "u.ref").write_text(" b \n\na\r\nb\n")
+        p = tmp_path / MANIFEST_NAME
+        p.write_text(json.dumps({"utterances": [
+            {"id": "u0", "posteriors": "u.post", "reference": "u.ref"}]}))
+        assert load_manifest(p).utterances[0].reference == ("b", "a", "b")
+
+    # The reference file's own error passes through, naming that file and
+    # not the manifest.
+    @pytest.mark.parametrize("data, line, message", [
+        (b"", None, "reference must be non-empty"),
+        (b" \n\n", None, "reference must be non-empty"),
+        (b"a\n\xff\n", 2, "not UTF-8 text"),
+    ], ids=["empty", "blank-lines", "not-utf8"])
+    def test_bad_reference_names_the_reference_file(self, tmp_path, rng, data, line, message):
+        save_posteriors(make_random_posteriors(rng, 1, 2), tmp_path / "u.post")
+        ref = tmp_path / "u.ref"
+        ref.write_bytes(data)
+        p = tmp_path / MANIFEST_NAME
+        p.write_text(json.dumps({"utterances": [
+            {"id": "u0", "posteriors": "u.post", "reference": "u.ref"}]}))
+        with pytest.raises(DataFormatError) as err:
+            load_manifest(p)
+        assert (err.value.path, err.value.line) == (str(ref), line)
+        assert str(err.value).endswith(f": {message}")
+
 
 class TestGenerateCorpus:
     @pytest.mark.parametrize("out_dir", [".", "", "c", "c/", "./c", "c//d/./e", "ABS"])
@@ -547,6 +581,25 @@ class TestGenerateCorpus:
             ref = load_transcript(utt.reference_path)
             assert len(ref) >= 1
             assert all(tok in hmm.state_labels for tok in ref)
+
+    # The regression corpus of test_pipeline_regression.py, and one whose
+    # states 0 and 1 share a label and switch often, so that a run of one
+    # label spans several runs of states.
+    @pytest.mark.parametrize("initial, transitions, labels, utterances, frames", [
+        ([0.7, 0.3], [[0.8, 0.2], [0.3, 0.7]], ["a", "b"], 20, (10, 20)),
+        ([0.4, 0.3, 0.3], [[0.3, 0.6, 0.1], [0.6, 0.3, 0.1], [0.2, 0.2, 0.6]],
+         ["x", "x", "y"], 30, (5, 15)),
+    ], ids=["regression", "shared-label"])
+    def test_references_are_the_files_written(self, tmp_path, initial, transitions, labels,
+                                              utterances, frames):
+        hmm = HmmModel.from_probs(initial, transitions, labels, list(range(len(labels))))
+        noise = NoiseSpec(concentration=5.0, confusion_rate=0.3, seed=1)
+        manifest = generate_corpus(hmm, utterances, frames, noise, tmp_path)
+        loaded = load_manifest(tmp_path / MANIFEST_NAME)
+        for u, again in zip(manifest.utterances, loaded.utterances, strict=True):
+            assert type(u.reference) is tuple
+            assert u.reference == load_transcript(u.reference_path) == again.reference
+            assert all(a != b for a, b in zip(u.reference, u.reference[1:]))
 
     def test_utterance_streams_independent_of_corpus_size(self, tmp_path, rng):
         # utterance i depends only on seed + i, not on how many come after

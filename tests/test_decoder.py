@@ -18,7 +18,7 @@ from minkdecode import (
 )
 from minkdecode import decoder
 from minkdecode.dataio import load_transcript, save_transcript
-from minkdecode.decoder import collapse_tokens
+from minkdecode.decoder import collapse_tokens, path_tokens
 
 from conftest import make_random_hmm, make_random_scores, make_uniform_hmm
 from oracles import exhaustive_decode, frozen_scalar_forward, score_path
@@ -147,6 +147,24 @@ class TestCollapseTokens:
 
     def test_empty(self):
         assert collapse_tokens([]) == ()
+
+
+class TestPathTokens:
+    # Few labels for many states, so distinct neighbouring states often share one.
+    @pytest.mark.parametrize("labels", [("a", "b", "c"), ("a", "a", "b", "a", "c", "c"),
+                                        ("x",) * 4], ids=["distinct", "shared", "one-label"])
+    def test_equals_collapsing_every_frames_label(self, rng, labels):
+        for _ in range(200):
+            path = rng.integers(0, len(labels), size=rng.integers(0, 40)).tolist()
+            if rng.random() < 0.5:  # long runs of one state, as a sticky HMM gives
+                path = np.repeat(path, rng.integers(1, 6, size=len(path))).tolist()
+            assert path_tokens(path, labels) == collapse_tokens(map(labels.__getitem__, path))
+
+    def test_is_the_decoded_token_sequence(self, rng):
+        hmm = HmmModel.from_probs([0.5, 0.25, 0.25], np.full((3, 3), 1 / 3),
+                                  ["a", "a", "b"], [0, 1, 2])
+        result = viterbi_decode(make_random_scores(rng, 30, 3), hmm)
+        assert result.token_sequence == path_tokens(result.state_path, hmm.state_labels)
 
 
 class TestEmissions:

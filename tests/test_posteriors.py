@@ -17,7 +17,7 @@ from minkdecode import (
 )
 
 from minkdecode.minkowski import transform_values
-from minkdecode.posteriors import floored_log, stack_rows
+from minkdecode.posteriors import check_row_sums, floored_log, stack_rows
 
 from conftest import make_edge_rows, make_random_posteriors
 from oracles import closed_form_transform, frozen_floored_log, frozen_transform_values
@@ -25,6 +25,20 @@ from oracles import closed_form_transform, frozen_floored_log, frozen_transform_
 # frozen from the grid oracle: transform(0.8, 4), transform(0.1, 4)
 T4_08 = 0.613511790436
 T4_01 = 0.324666488787
+
+
+class TestCheckRowSums:
+    # The first row off 1 by more than the tolerance; a NaN sum is not off.
+    @pytest.mark.parametrize("rows, bad", [
+        ([[0.5, 0.5], [0.25, 0.75]], None),
+        ([[0.5, 0.5], [0.5, 0.6], [0.0, 0.0]], 1),
+        ([[0.5, 0.5], [0.5, 0.5000011]], 1),
+        ([[math.nan, 0.5], [0.5, 0.5]], None),
+        ([[math.nan, 0.5], [0.2, 0.2]], 1),
+        ([[math.nan, 0.5]], None),
+    ], ids=["good", "first-of-two", "just-past", "nan-only", "nan-then-bad", "one-nan-row"])
+    def test_first_bad_row(self, rows, bad):
+        assert check_row_sums(np.array(rows)) == bad
 
 
 class TestPosteriorMatrix:
@@ -35,6 +49,14 @@ class TestPosteriorMatrix:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             PosteriorMatrix([[1.2, -0.2]])
+
+    # Each row sums to 1 within the tolerance, so only the range check can
+    # refuse it: an entry just past 1 or just below 0.
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5], [1.0000005, 0.0]],
+                                      [[0.5, 0.5], [1.0, -5e-7]]], ids=["above-1", "below-0"])
+    def test_range_is_checked_apart_from_row_sums(self, rows):
+        with pytest.raises(ValidationError, match=r"entries must be in \[0, 1\]"):
+            PosteriorMatrix(rows)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValidationError):

@@ -112,6 +112,11 @@ class TestAlignAndScore:
     @settings(max_examples=300)
     def test_decomposition_matches_full_matrix(self, ref, hyp):
         assert align_and_score(ref, hyp) == reference_alignment(ref, hyp)
+        # A hypothesis equal to the reference, as a list or a tuple, and one
+        # token short of it or one token off.
+        for same in (ref, list(ref), tuple(ref), ref[:-1], ref[:-1] + ["x"]):
+            assert align_and_score(ref, same) == reference_alignment(ref, same)
+            assert align_and_score(tuple(ref), same) == reference_alignment(ref, same)
 
     # R = 63, 64 and 65 straddle a 64-bit word; 200 spans several.
     @pytest.mark.parametrize("length", [1, 63, 64, 65, 200])
@@ -120,6 +125,7 @@ class TestAlignAndScore:
         for hyp in ([], ["x"] * (length // 2 + 1), list(rng.choice(list("xyz"), size=length)),
                     list(rng.choice(list("abcdx"), size=length + 7)), ref[1:], ref[::-1]):
             assert align_and_score(ref, hyp) == reference_alignment(ref, hyp)
+        assert align_and_score(ref, list(ref)) == reference_alignment(ref, ref)
 
     def test_random_pairs_against_oracle(self, rng):
         vocab = [f"tok{i}" for i in range(8)]
