@@ -28,6 +28,16 @@ Arabic-Indic one) and digit-grouping underscores, and str.split() splits at
 any Unicode space, so a posterior or priors file holding a non-ASCII
 character or "_" is refused.
 
+Every number in a posterior matrix is written as `'%.17g' % value`, by one
+row formatter, `_rows_text`. A matrix of fewer than FORMAT_MIN_ENTRIES
+entries gets one template `%`. A larger one is formatted with numpy in
+slices of rows: an entry in [1e-4, 1] (fixed notation) or +0.0 gets its 17
+digits from IEEE basic operations alone (an exact two-product, a round to
+even, floor divisions), after a `log10` guess of its decade that the exact
+arithmetic checks and corrects. So the bytes do not depend on numpy's SIMD
+level or libm. Every other entry (-0.0, one below 1e-4, above 1 or not
+finite) gets `%.17g` on its own. Both routes write the same bytes.
+
 `read_text` is the one reader for every text file the program reads, and
 `write_text` the one writer for every file the program writes. Both use
 raw file descriptors (`os.open`, `os.read`, `os.write`), not file objects,
@@ -87,7 +97,6 @@ __all__ = [
     "CorpusUtterance",
     "CorpusManifest",
     "splitmix64_doubles",
-    "format_float",
     "read_text",
     "write_text",
     "json_field",
@@ -185,12 +194,186 @@ def write_text(path, text: str) -> None:
         raise _naming(exc, path) from None
 
 
-_FLOAT_FORMAT = "%.17g"
+# ---------------------------------------------------------------------------
+# number text
+# ---------------------------------------------------------------------------
+
+_FLOAT_FORMAT = "%.17g"  # 17 significant digits: enough to reproduce any float64 exactly
+
+# Fewest entries a matrix `_rows_text` formats by `_digits_text` has. Below
+# it one template `%` costs less than `_digits_text`'s 60-odd numpy calls.
+# scripts/format_sweep.py on a 2-vCPU host (one CPU, 30 alternating rounds of
+# 20 matrices) puts the crossover near 120 entries: the median round ratio
+# digits/template read 1.72 at 60 entries, 1.14 at 100, 1.00 at 120, 0.86 at
+# 160, 0.57 at 300 and 0.29 at 5,000 (20 columns, concentration 30), and
+# 1.75, 1.25, 1.00, 0.92 at 150 and 0.30 at 1,002 (3 columns, concentration
+# 100). A demo_k3 file holds 30-75 entries, a long_k20 one 4,000-6,000.
+FORMAT_MIN_ENTRIES = 150
+
+# Most entries `_digits_text` formats at once: it takes a matrix in slices of
+# whole rows, so its temporaries (some 30 arrays of 8 bytes an entry, and 32
+# bytes an entry of slots) stay in the CPU's cache and its memory does not
+# grow with the matrix. Slices of 2,000-4,000 entries were fastest.
+_SLICE_ENTRIES = 4096
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: enough to reproduce any float64 exactly."""
-    return _FLOAT_FORMAT % x
+def _rows_text(values) -> str:
+    """The rows of a 2-D float array as `'%.17g' % x` entries, each row ending in a newline.
+
+    Entries of a row are one space apart. This is the text `save_posteriors`
+    writes after its header. A matrix of fewer than FORMAT_MIN_ENTRIES
+    entries is formatted by one template `%` (`_template_text`), a larger
+    one by `_digits_text`, which gives the same text.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.size < FORMAT_MIN_ENTRIES:
+        return _template_text(values)
+    return _digits_text(values)
+
+
+def _template_text(values: np.ndarray) -> str:
+    """`_rows_text(values)`, by one `%` on a template holding a `%.17g` per entry."""
+    rows, cols = values.shape
+    row = " ".join([_FLOAT_FORMAT] * cols)
+    return ("\n".join([row] * rows) + "\n") % tuple(values.ravel().tolist())
+
+
+_SPLITTER = 2.0**27 + 1  # Veltkamp's: splits a double into two halves of at most 26 bits
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """high + low == a exactly, each with at most 26 significant bits."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+# 10**k for k <= 22 is a double (5**22 < 2**53), and so are its halves.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+
+
+def _times_power_of_ten(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == x * 10**k exactly and hi the rounded product.
+
+    Dekker's two-product: each product of halves is exact, and so is each sum.
+    """
+    hi = x * _POW10.take(k)
+    xh, xl = _halves(x)
+    ph, pl = _POW10_HIGH.take(k), _POW10_LOW.take(k)
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
+# `_digits_text` writes each entry into a slot of 8 native uint32 words, all
+# built from bytes, so the byte order never matters: word 0 is "0.00", word 1
+# "0", two NULs and the first digit, words 2-5 the other 16 digits, four to a
+# word, word 6 NUL and word 7 three NULs and the separator. A keep-mask zeroes
+# what `%.17g` would not write, and every NUL is then deleted.
+_SLOT_BYTES = 32
+_HEAD = np.frombuffer(b"0.00", dtype=np.uint32)
+_LEADS = np.frombuffer(b"".join(b"0\0\0%d" % d for d in range(10)), dtype=np.uint32)
+# Built with numpy, not per group in Python, which cost 10-13 ms at import.
+_GROUP_VALUES = np.arange(10**4)
+_GROUPS = (_GROUP_VALUES[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(
+    np.uint8).view(np.uint32).ravel()
+_TRAILING_ZEROS = sum(_GROUP_VALUES % 10**k == 0 for k in range(1, 5))
+# An entry outside the fixed domain is computed as this, then masked away. Its
+# 17 digits (29999999999999999) end in no zero: they cost no trailing-zero pass.
+_FILLER = 0.3
+
+
+def _keep(positions) -> bytes:
+    """The slot mask keeping the bytes at positions, and the separator."""
+    return bytes(0xFF if i in positions or i == _SLOT_BYTES - 1 else 0 for i in range(_SLOT_BYTES))
+
+
+# Row tz - 17 * e keeps an entry of decimal exponent e in [-4, 0] whose 17
+# digits end in tz zeros: "0.", -1 - e zeros and 17 - tz digits (e is 0 only
+# for 1.0, whose one digit is all). The last two rows keep "0" for +0.0 and
+# words 0-5 for a `%.17g` text written there.
+_MASKS = np.frombuffer(b"".join(
+    [_keep({*(range(1 - e) if e else ()), *range(7, 24 - tz)}) for e in range(0, -5, -1)
+     for tz in range(17)] + [_keep({0}), _keep(range(24))]), dtype=np.uint32).reshape(-1, 8)
+_ZERO_ROW, _TEXT_ROW = len(_MASKS) - 2, len(_MASKS) - 1
+
+
+def _digits_text(values: np.ndarray) -> str:
+    """`_template_text(values)` for a C-contiguous float64 matrix, built with numpy.
+
+    The rows are split evenly into slices of at most _SLICE_ENTRIES entries
+    (or one row), each formatted by `_slice_digits`.
+    """
+    rows = len(values)
+    step = math.ceil(rows / math.ceil(values.size / _SLICE_ENTRIES))
+    return "".join([_slice_digits(values[i:i + step]) for i in range(0, rows, step)])
+
+
+def _slice_digits(values: np.ndarray) -> str:
+    """`_digits_text(values)` in one pass of numpy calls.
+
+    An entry x with 1e-4 <= x <= 1, which `%.17g` writes in fixed notation
+    as 17 digits D times 10**(e - 16), is formatted here: e is guessed as
+    floor(log10(x)), then checked exactly. D is x * 10**(16 - e) rounded to
+    an integer, and it has 17 digits exactly when that product, found exactly
+    as hi + lo by `_times_power_of_ten`, lies in [1e16, 1e17); where it does
+    not, the guess moves one decade and is checked again. Only IEEE basic
+    operations make the digits, so they do not depend on numpy's SIMD level
+    (log10 only guesses). +0.0 is "0"; every other entry (-0.0, one below
+    1e-4, above 1 or not finite) is formatted by `%.17g` on its own.
+    """
+    rows, cols = values.shape
+    x = values.ravel()
+    fixed = (x >= 1e-4) & (x <= 1.0)
+    xs = np.where(fixed, x, _FILLER)
+    e = np.floor(np.log10(xs)).astype(np.intp)
+    hi, lo = _times_power_of_ten(xs, 16 - e)
+    fix = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    while fix.size:
+        h, l = hi[fix], lo[fix]
+        step = ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.intp) - (
+            (h < 1e16) | ((h == 1e16) & (l < 0)))
+        fix = fix[step != 0]
+        e[fix] += step[step != 0]
+        hi[fix], lo[fix] = _times_power_of_ten(xs[fix], 16 - e[fix])
+    # hi is an even integer (it is above 2**53), so rounding lo half to even
+    # rounds hi + lo as `%.17g` does. No sum rounds up to 10**17: the double
+    # below each of 0.001, 0.01, 0.1 and 1 lies more than half a unit of the
+    # 17th digit below it (tests/test_dataio.py formats them).
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # D's digits: the first, then four groups of four.
+    a = d // 10**8
+    b = d - a * 10**8
+    c = a // 10**4
+    first = c // 10**4
+    b_high = b // 10**4
+    groups = (c - first * 10**4, a - c * 10**4, b_high, b - b_high * 10**4)
+    buf = bytearray(x.size * _SLOT_BYTES)
+    slots = np.frombuffer(buf, dtype=np.uint32).reshape(-1, 8)
+    slots[:, 0] = _HEAD
+    slots[:, 1] = _LEADS.take(first)
+    for word, g in enumerate(groups, start=2):
+        slots[:, word] = _GROUPS.take(g)
+    slots.reshape(rows, cols, 8)[:, :, 7] = np.frombuffer(
+        b"\0\0\0 " * (cols - 1) + b"\0\0\0\n", dtype=np.uint32)
+    # Zeros at the end of D, which `%.17g` strips: count them a group at a time.
+    tz = _TRAILING_ZEROS.take(groups[3])
+    rest = np.flatnonzero(groups[3] == 0)
+    for g, zeros in zip(groups[2::-1], (4, 8, 12)):
+        if not rest.size:
+            break
+        g = g[rest]
+        tz[rest] = zeros + _TRAILING_ZEROS.take(g)
+        rest = rest[g == 0]
+    row = tz - 17 * e
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        text = x[other].view(np.uint64) != 0  # all but +0.0, whose "0" the head holds
+        row[other] = np.where(text, _TEXT_ROW, _ZERO_ROW)
+        other = other[text]
+        texts = np.array([_FLOAT_FORMAT % v for v in x[other].tolist()], dtype="S24")
+        slots[other, :6] = texts.view(np.uint32).reshape(-1, 6)
+    slots &= _MASKS.take(row, axis=0)
+    return buf.translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +482,18 @@ def _is_float(tok: str) -> bool:
 
 
 def save_posteriors(matrix: PosteriorMatrix, path) -> None:
-    """Write the matrix in the posterior format, all values in one format call.
+    """Write the matrix in the posterior format: its header, then `_rows_text` of its values.
 
-    `PosteriorMatrix` holds the format's rules, so `load_posteriors` reads
-    the file back as the same matrix.
+    Every value is written as `'%.17g' % value`. A matrix of at least
+    FORMAT_MIN_ENTRIES entries is formatted with numpy, which gives the same
+    bytes (`_digits_text`): values in [1e-4, 1] and +0.0 from IEEE basic
+    operations alone, after a `log10` guess of the decade that is checked
+    exactly, so the bytes do not depend on SIMD dispatch; each other value
+    (-0.0, below 1e-4, above 1, not finite) by `%.17g`. `PosteriorMatrix`
+    holds the format's rules, so `load_posteriors` reads the file back as
+    the same matrix.
     """
-    row = " ".join([_FLOAT_FORMAT] * matrix.classes)
-    template = "\n".join([f"{matrix.frames} {matrix.classes}"] + [row] * matrix.frames)
-    text = template % tuple(matrix.values.ravel().tolist())
-    write_text(path, text + "\n")
+    write_text(path, f"{matrix.frames} {matrix.classes}\n{_rows_text(matrix.values)}")
 
 
 # ---------------------------------------------------------------------------

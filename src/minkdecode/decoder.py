@@ -62,10 +62,11 @@ class HmmModel:
     `state_labels[s]` is the output token of state s; `state_to_class[s]`
     is the posterior-matrix column that scores it. Labels must be a
     sequence of strings (one string is refused, not split into characters),
-    each one `str.splitlines()` line equal to its `strip()`, as a transcript
-    file holds a token; nothing is converted to one. exp(log_initial) and
-    each exp(transition row) must sum to 1 within 1e-6 (`check_row_sums`). A zero probability
-    has one encoding, LOG_FLOOR: every entry must be finite, so -inf is
+    each one `str.splitlines()` line equal to its `strip()` and encodable as
+    UTF-8 (no lone surrogate), as a transcript file holds a token; nothing
+    is converted to one. exp(log_initial) and each exp(transition row) must
+    sum to 1 within 1e-6 (`check_row_sums`). A zero probability has one
+    encoding, LOG_FLOOR: every entry must be finite, so -inf is
     refused like NaN and +inf. Models compare and hash by identity.
     """
 
@@ -90,6 +91,11 @@ class HmmModel:
                 "labels must be strings, one per state, each one line without surrounding "
                 f"whitespace; got {self.state_labels!r}"
             )
+        for lab in labels:  # a lone surrogate: valid JSON, but no transcript file can hold it
+            try:
+                lab.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"labels must be UTF-8 text; got {lab!r}") from None
         if init.ndim != 1:
             raise ValidationError("log_initial must be a vector")
         n = init.shape[0]

@@ -272,11 +272,9 @@ def curve_table(orders, grid_points: int):
 
 
 def curves_text(mus, orders, columns) -> str:
-    lines = ["mu " + " ".join(f"order{n}" for n in orders)]
-    for i, mu in enumerate(mus):
-        vals = " ".join(dataio.format_float(columns[n][i]) for n in orders)
-        lines.append(f"{dataio.format_float(mu)} {vals}")
-    return "\n".join(lines) + "\n"
+    """A header line, then one line per grid point: mu and each order's value, as `%.17g`."""
+    header = "mu " + " ".join(f"order{n}" for n in orders)
+    return f"{header}\n{dataio._rows_text(np.column_stack([mus, *(columns[n] for n in orders)]))}"
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

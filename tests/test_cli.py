@@ -926,6 +926,25 @@ def test_non_utf8_input_names_file_and_line(tmp_path, demo_hmm, capsys, kind):
     assert not Path(out).exists()
 
 
+@pytest.mark.parametrize("label", [" green", "\ud800"], ids=["leading-space", "lone-surrogate"])
+@pytest.mark.parametrize("command", ["synth", "decode"])
+def test_synth_and_decode_refuse_a_label_transcripts_cannot_hold(tmp_path, demo_hmm, capsys,
+                                                                  command, label):
+    doc = json.loads(demo_hmm.read_text())
+    doc["labels"] = ["red", label, "blue"]
+    demo_hmm.write_text(json.dumps(doc))
+    src = tmp_path / "in.post"
+    write_posteriors(src, [[0.5, 0.25, 0.25]])
+    out = tmp_path / "out"
+    argv = {"synth": ["synth", "--hmm", str(demo_hmm), "--utterances", "2", "--frames", "3:4"],
+            "decode": ["decode", str(src), "--hmm", str(demo_hmm)]}[command]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {demo_hmm}: labels must" in err and repr(label) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_experiment_refuses_a_label_transcripts_cannot_hold(tmp_path, demo_hmm, capsys):
     doc = json.loads(demo_hmm.read_text())
     doc["labels"] = ["red", " green", "blue"]

@@ -4,7 +4,8 @@ Each digest covers every file `generate_corpus` writes for one case (file
 names and bytes, manifest included), so any change to the draw order, the
 arithmetic or the text format of the generator shows up here. The digests
 were taken from the one-draw-at-a-time generator that the bulk generator
-replaced; they must not be re-frozen to follow a change in output.
+replaced, and the two k20_* cases from the generator that wrote every file
+by one template `%`; they must not be re-frozen to follow a change in output.
 """
 
 import hashlib
@@ -62,6 +63,10 @@ CASES = {
     "several_blocks": (sticky(5, 0.7), 80, (50, 60), NoiseSpec(20.0, 0.3, 9)),
     # 18401 draws per utterance: each is larger than a 2**14-draw block.
     "utterance_over_a_block": (sticky(20, 0.8), 2, (800, 800), NoiseSpec(30.0, 0.3, 10)),
+    # Files past dataio.FORMAT_MIN_ENTRIES: every entry 0 or 1, and most
+    # entries below 1e-4, which are formatted one at a time.
+    "k20_inf_concentration": (sticky(20, 0.8), 4, (200, 300), NoiseSpec(math.inf, 0.3, 11)),
+    "k20_conc_1e6": (sticky(20, 0.8), 4, (200, 300), NoiseSpec(1e6, 0.3, 12)),
 }
 
 DIGESTS = {
@@ -70,6 +75,8 @@ DIGESTS = {
     "frames_1_1": "cc678473e1bec834151196370b2a7e77a0d38fc10627f4c40e3a0897824921db",
     "inf_concentration": "ce00acaafdc2c9b3c78eee178bc933416dcebd6451305ab08ba67de57e654666",
     "k20": "5c13c7d005d18a89cea72e9bfd35037cfa0c123ecc5680d1c12453e9907f686c",
+    "k20_conc_1e6": "f3ea4f5f51ae941eef758ab8bb793f227a3e3925df397080c490a69af2ce6dbc",
+    "k20_inf_concentration": "59f78be9d11cb2aff72753d589027755603bec995f4c423263598dd71c9a3ef5",
     "k3_conc100": "d8cde89e6955bb8f411ec3f9da7aa5d30630ffb13998501c296728651525a82d",
     "seed_wraps": "c1aacf47d182d77742e16a87ca734380e86473a52223f3683b2894a4edd30e79",
     "several_blocks": "13353bec096a4d046f55f841fae974c2daff7c388b72552c60650778f4440555",
@@ -105,3 +112,15 @@ def test_block_cases_cross_block_boundaries():
     per_block = dataio._BLOCK_DRAWS // most_draws("several_blocks")
     assert 1 < per_block and utterances > 2 * per_block
     assert most_draws("utterance_over_a_block") > dataio._BLOCK_DRAWS
+
+
+def test_cases_take_both_format_routes():
+    # Files below dataio.FORMAT_MIN_ENTRIES are written by one template `%`,
+    # larger ones by numpy; each route writes the files of some case.
+    def entries(case, end):
+        hmm, _, frames, _ = CASES[case]
+        return frames[end] * (int(hmm.state_to_class.max()) + 1)
+
+    assert entries("k3_conc100", 1) < dataio.FORMAT_MIN_ENTRIES
+    assert entries("k20_inf_concentration", 0) >= dataio.FORMAT_MIN_ENTRIES
+    assert entries("utterance_over_a_block", 0) > dataio._SLICE_ENTRIES

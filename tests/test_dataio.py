@@ -24,7 +24,6 @@ from minkdecode import (
 from minkdecode.dataio import (
     MANIFEST_NAME,
     NoiseSpec,
-    format_float,
     generate_corpus,
     load_hmm,
     load_manifest,
@@ -225,6 +224,7 @@ class TestHmmFormat:
         ("initial", [0.5, 0.25, 0.25]),
         ("labels", ["a", " b"]),
         ("initial", [True, 0.0]),
+        ("labels", ["a", "\ud800"]),  # valid JSON, but not UTF-8 text
     ])
     def test_mistyped_field_names_file(self, tmp_path, field, value):
         doc = {"num_states": 2, "initial": [0.5, 0.5],
@@ -692,10 +692,64 @@ class TestGenerateCorpus:
 
 class TestFormatFloat:
     def test_round_trips_float64(self, rng):
-        for _ in range(200):
-            x = float(rng.uniform(-1e6, 1e6))
-            assert float(format_float(x)) == x
-        assert float(format_float(0.1)) == 0.1
+        n = dataio.FORMAT_MIN_ENTRIES
+        values = np.concatenate([[0.1], rng.uniform(-1e6, 1e6, n), rng.uniform(0.0, 1.0, n - 1)])
+        for size in (10, values.size):  # below and above FORMAT_MIN_ENTRIES
+            text = dataio._rows_text(values[:size].reshape(-1, 2))
+            assert np.array(text.split(), dtype=float).tobytes() == values[:size].tobytes()
+
+
+def template_text(values) -> str:
+    """Each row's entries as '%.17g', one space apart, each row ending in a newline."""
+    return "".join(" ".join("%.17g" % x for x in row) + "\n" for row in values.tolist())
+
+
+def ulps_around(x: float, n: int) -> np.ndarray:
+    """The 2n + 1 doubles from n below positive normal x to n above it."""
+    return (np.array([x]).view(np.int64) + np.arange(-n, n + 1)).view(np.float64)
+
+
+def edge_values(rng) -> np.ndarray:
+    subnormals = rng.integers(1, 2**52, 20, dtype=np.uint64).view(np.float64)
+    bits = np.repeat(np.arange(1, 54), 10)  # dyadic rationals of 1-53 significant bits
+    odd = (rng.integers(0, 2**62, bits.size) >> (63 - bits)) | 1 | (1 << (bits - 1))
+    dyadic = np.ldexp(odd.astype(np.float64), -(bits + rng.integers(0, 20, bits.size)))
+    return np.concatenate([
+        *(ulps_around(10.0**-p, 8) for p in range(1, 10)),
+        [np.nextafter(1e-4, 1), np.nextafter(1e-4, -1), 0.0, -0.0, 1.0, np.nextafter(1.0, 0),
+         5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
+        subnormals, dyadic,
+    ])
+
+
+class TestRowsText:
+    """Both routes of `_rows_text`, each forced, against the template-% text."""
+
+    @pytest.fixture
+    def matrices(self, rng):
+        edges = edge_values(rng)
+        log_uniform = np.exp(rng.uniform(math.log(1e-12), 0.0, 10**5))
+        return {
+            "edges": edges[:edges.size // 4 * 4].reshape(-1, 4),
+            "one-hot": np.eye(20)[rng.integers(0, 20, 50)],
+            "log-uniform": log_uniform.reshape(-1, 20),
+        }
+
+    @pytest.mark.parametrize("route", ["template", "digits"])
+    def test_routes_write_the_template_text(self, monkeypatch, matrices, route):
+        monkeypatch.setattr(dataio, "FORMAT_MIN_ENTRIES", 10**9 if route == "template" else 1)
+        for name, m in matrices.items():
+            assert m.size >= 300
+            for part in (m[:3], m):  # below and above the real threshold
+                assert dataio._rows_text(part) == template_text(part), name
+
+    @pytest.mark.parametrize("off", [-2, -1, 1, 2])
+    def test_digit_route_corrects_a_wrong_decade_guess(self, monkeypatch, matrices, off):
+        # log10 only guesses each entry's decade; the exact check moves a wrong guess.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        m = matrices["edges"]
+        assert dataio._digits_text(m) == template_text(m)
 
 
 OLD_NS = 1_000_000_000  # an mtime no write made during a test can have

@@ -119,11 +119,13 @@ class TestHmmModel:
         with pytest.raises(ValidationError, match="labels must be strings"):
             HmmModel.from_probs([1.0], [[1.0]], labels, [0])
 
-    @pytest.mark.parametrize("label", ["", " a", "a\nb", "a\u2028b"],
-                             ids=["empty", "leading-space", "newline", "line-separator"])
+    @pytest.mark.parametrize("label", ["", " a", "a\nb", "a\u2028b", "\ud800"],
+                             ids=["empty", "leading-space", "newline", "line-separator",
+                                  "lone-surrogate"])
     def test_rejects_labels_a_transcript_cannot_hold(self, label):
-        with pytest.raises(ValidationError, match="^labels must"):
+        with pytest.raises(ValidationError, match="^labels must") as err:
             HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["x", label], [0, 1])
+        assert repr(label) in str(err.value)
 
     def test_inner_space_label_survives_a_transcript(self, tmp_path):
         hmm = HmmModel.from_probs([0.5, 0.5], np.full((2, 2), 0.5), ["a b", "c"], [0, 1])

@@ -55,3 +55,12 @@ def test_forward_sweep_times_both_passes():
     assert "SCALAR_MAX_STATES=" in header
     assert [line.split()[0] for line in lines] == ["K=3", "K=11", "K=65"]
     assert ["array/scalar" in line for line in lines] == [True, True, False]
+
+
+def test_format_sweep_checks_and_times_both_routes():
+    proc = run_script("format_sweep.py", "--entries", "60,600", "--rounds", "1", "--calls", "2")
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert "FORMAT_MIN_ENTRIES=" in header
+    assert [line.split()[0] for line in lines] == ["entries=60", "entries=600"]
+    assert all("digits/template" in line for line in lines)
