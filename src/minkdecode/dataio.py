@@ -29,13 +29,16 @@ any Unicode space, so a posterior or priors file holding a non-ASCII
 character or "_" is refused.
 
 Every number in a posterior matrix is written as `'%.17g' % value`, by one
-row formatter, `_rows_text`. A matrix of fewer than FORMAT_MIN_ENTRIES
-entries gets one template `%`. A larger one is formatted with numpy in
-slices of rows: an entry in [1e-4, 1] (fixed notation) or +0.0 gets its 17
-digits from IEEE basic operations alone (an exact two-product, a round to
-even, floor divisions), after a `log10` guess of its decade that the exact
-arithmetic checks and corrects. So the bytes do not depend on numpy's SIMD
-level or libm. Every other entry (-0.0, one below 1e-4, above 1 or not
+row formatter, `_rows_text`. `save_posteriors` calls it on one matrix;
+`generate_corpus` calls it once on each block of utterances and cuts the
+text at utterance ends, which gives each file the bytes that formatting it
+alone gives. A matrix of fewer than FORMAT_MIN_ENTRIES entries gets one
+template `%`. A larger one is formatted with numpy in slices of rows: an
+entry in [1e-4, 1] (fixed notation) or +0.0 gets its 17 digits from IEEE
+basic operations alone (an exact two-product, a round to even, floor
+divisions), after a `log10` guess of its decade that the exact arithmetic
+checks and corrects. So the bytes do not depend on numpy's SIMD level or
+libm. Every other entry (-0.0, one below 1e-4, above 1 or not
 finite) gets `%.17g` on its own. Both routes write the same bytes.
 
 `read_text` is the one reader for every text file the program reads, and
@@ -202,6 +205,11 @@ _FLOAT_FORMAT = "%.17g"  # 17 significant digits: enough to reproduce any float6
 
 # Fewest entries a matrix `_rows_text` formats by `_digits_text` has. Below
 # it one template `%` costs less than `_digits_text`'s 60-odd numpy calls.
+# The generator formats whole blocks (a demo_k3 block holds about 5,700
+# entries), so the template serves lone small matrices: a short `transform`
+# or `curves` output, or a corpus whose blocks are that small. It stays: on
+# one CPU, sending every matrix through numpy made an in-process `transform`
+# command 1.56x slower on a 1x2 file (189 -> 301 us) and 1.16x on a 25x3 one.
 # scripts/format_sweep.py on a 2-vCPU host (one CPU, 30 alternating rounds of
 # 20 matrices) puts the crossover near 120 entries: the median round ratio
 # digits/template read 1.72 at 60 entries, 1.14 at 100, 1.00 at 120, 0.86 at
@@ -481,19 +489,19 @@ def _is_float(tok: str) -> bool:
         return False
 
 
-def save_posteriors(matrix: PosteriorMatrix, path) -> None:
+def save_posteriors(matrix: PosteriorMatrix, path, *, rows_text: str | None = None) -> None:
     """Write the matrix in the posterior format: its header, then `_rows_text` of its values.
 
-    Every value is written as `'%.17g' % value`. A matrix of at least
-    FORMAT_MIN_ENTRIES entries is formatted with numpy, which gives the same
-    bytes (`_digits_text`): values in [1e-4, 1] and +0.0 from IEEE basic
-    operations alone, after a `log10` guess of the decade that is checked
-    exactly, so the bytes do not depend on SIMD dispatch; each other value
-    (-0.0, below 1e-4, above 1, not finite) by `%.17g`. `PosteriorMatrix`
-    holds the format's rules, so `load_posteriors` reads the file back as
-    the same matrix.
+    Every value is written as `'%.17g' % value`, by the one row formatter
+    (see the module docstring). A caller that already holds
+    `_rows_text(matrix.values)` passes it as rows_text, and it is written as
+    given: `generate_corpus` formats a block of utterances at once and
+    passes each file its slice. `PosteriorMatrix` holds the format's rules,
+    so `load_posteriors` reads the file back as the same matrix.
     """
-    write_text(path, f"{matrix.frames} {matrix.classes}\n{_rows_text(matrix.values)}")
+    if rows_text is None:
+        rows_text = _rows_text(matrix.values)
+    write_text(path, f"{matrix.frames} {matrix.classes}\n{rows_text}")
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +846,10 @@ def generate_corpus(
 
     Utterances are made in blocks of about _BLOCK_DRAWS draws. A block's
     rows are checked before any of its files is written: by `check_row_sums`,
-    to name a bad row by its utterance, then as one `PosteriorMatrix`.
+    to name a bad row by its utterance, then as one `PosteriorMatrix`. They
+    are then formatted by one `_rows_text` call, and each file is written by
+    one `save_posteriors(matrix, path)` call that is handed its slice of that
+    text.
     """
     lo, hi = check_corpus_size(num_utterances, frames_range)
     classes = hmm.max_class + 1
@@ -890,12 +901,18 @@ def generate_corpus(
             first_row = ends[j] - len(paths[j])
             raise _row_sum_error(f"utterance utt{ids[j]:04d} row {bad - first_row}", rows[bad])
         rows = PosteriorMatrix(rows).values
-        for i, states, end in zip(ids, paths, ends):
+        # The block's text, cut after each utterance's last row: the text is
+        # ASCII, so a newline's byte offset is its index in the string too.
+        text = _rows_text(rows)
+        newlines = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == 10)
+        cuts = [0, *(newlines[np.array(ends) - 1] + 1).tolist()]
+        for i, states, end, cut, next_cut in zip(ids, paths, ends, cuts, cuts[1:]):
             start = end - len(states)
             uid = f"utt{i:04d}"
             stem = os.path.join(base, uid)
             utt = CorpusUtterance(uid, f"{stem}.post", f"{stem}.ref", path_tokens(states, labels))
-            save_posteriors(PosteriorMatrix._unchecked(rows[start:end]), utt.posteriors_path)
+            save_posteriors(PosteriorMatrix._unchecked(rows[start:end]), utt.posteriors_path,
+                            rows_text=text[cut:next_cut])
             save_transcript(utt.reference, utt.reference_path)
             utts.append(utt)
     # Every file lies beside the manifest, so its name is its path from there.

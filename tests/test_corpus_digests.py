@@ -10,12 +10,13 @@ by one template `%`; they must not be re-frozen to follow a change in output.
 
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
 from minkdecode import HmmModel
 from minkdecode import dataio
-from minkdecode.dataio import NoiseSpec, generate_corpus
+from minkdecode.dataio import NoiseSpec, generate_corpus, load_posteriors
 
 
 def sticky(states, stay):
@@ -63,8 +64,8 @@ CASES = {
     "several_blocks": (sticky(5, 0.7), 80, (50, 60), NoiseSpec(20.0, 0.3, 9)),
     # 18401 draws per utterance: each is larger than a 2**14-draw block.
     "utterance_over_a_block": (sticky(20, 0.8), 2, (800, 800), NoiseSpec(30.0, 0.3, 10)),
-    # Files past dataio.FORMAT_MIN_ENTRIES: every entry 0 or 1, and most
-    # entries below 1e-4, which are formatted one at a time.
+    # Files of 4,000-6,000 entries, as in long_k20: every entry 0 or 1, and
+    # most entries below 1e-4, which are formatted one at a time.
     "k20_inf_concentration": (sticky(20, 0.8), 4, (200, 300), NoiseSpec(math.inf, 0.3, 11)),
     "k20_conc_1e6": (sticky(20, 0.8), 4, (200, 300), NoiseSpec(1e6, 0.3, 12)),
 }
@@ -100,27 +101,49 @@ def test_generated_corpus_digest(tmp_path, case):
     assert corpus_digest(tmp_path) == DIGESTS[case]
 
 
-def test_block_cases_cross_block_boundaries():
-    # Draws per utterance, at most: frame count, state path, then per frame
-    # a confusion flag, a wrong class and one exponential per class.
-    def most_draws(case):
-        hmm, _, (_, hi), _ = CASES[case]
-        classes = int(hmm.state_to_class.max()) + 1
-        return 1 + hi + hi * (2 + classes)
+def utterance_draws(case) -> int:
+    """The most draws one utterance of case needs: frame count, state path, then per
+    frame a confusion flag, a wrong class and one exponential per class (none at inf)."""
+    hmm, _, (_, hi), noise = CASES[case]
+    classes = int(hmm.state_to_class.max()) + 1
+    return 1 + hi + hi * (2 + (0 if math.isinf(noise.concentration) else classes))
 
+
+def test_block_cases_cross_block_boundaries():
     hmm, utterances, _, _ = CASES["several_blocks"]
-    per_block = dataio._BLOCK_DRAWS // most_draws("several_blocks")
+    per_block = dataio._BLOCK_DRAWS // utterance_draws("several_blocks")
     assert 1 < per_block and utterances > 2 * per_block
-    assert most_draws("utterance_over_a_block") > dataio._BLOCK_DRAWS
+    assert utterance_draws("utterance_over_a_block") > dataio._BLOCK_DRAWS
 
 
 def test_cases_take_both_format_routes():
-    # Files below dataio.FORMAT_MIN_ENTRIES are written by one template `%`,
-    # larger ones by numpy; each route writes the files of some case.
-    def entries(case, end):
-        hmm, _, frames, _ = CASES[case]
-        return frames[end] * (int(hmm.state_to_class.max()) + 1)
+    # The generator formats each block's rows with one `_rows_text` call: one
+    # template `%` below dataio.FORMAT_MIN_ENTRIES entries, numpy from there on.
+    def shape(case):
+        """Classes, the frames range and the utterances in the case's first block."""
+        hmm, utterances, frames, _ = CASES[case]
+        per_block = max(1, dataio._BLOCK_DRAWS // utterance_draws(case))
+        return int(hmm.state_to_class.max()) + 1, frames, min(per_block, utterances)
 
-    assert entries("k3_conc100", 1) < dataio.FORMAT_MIN_ENTRIES
-    assert entries("k20_inf_concentration", 0) >= dataio.FORMAT_MIN_ENTRIES
-    assert entries("utterance_over_a_block", 0) > dataio._SLICE_ENTRIES
+    classes, (lo, hi), block = shape("k3_conc100")
+    assert (lo * classes, hi * classes) == (30, 75)  # a demo_k3 file's entries
+    assert block * lo * classes >= dataio.FORMAT_MIN_ENTRIES
+    classes, (_, hi), block = shape("frames_1_1")
+    assert block * hi * classes < dataio.FORMAT_MIN_ENTRIES
+    classes, (lo, _), block = shape("utterance_over_a_block")
+    assert block == 1 and lo * classes > dataio._SLICE_ENTRIES
+
+
+# The corpus of test_pipeline_regression.py.
+REGRESSION = (HmmModel.from_probs([0.7, 0.3], [[0.8, 0.2], [0.3, 0.7]], ["a", "b"], [0, 1]),
+              20, (10, 20), NoiseSpec(5.0, 0.3, 1))
+
+
+@pytest.mark.parametrize("case", [*sorted(CASES), "regression"])
+def test_block_text_is_each_files_rows_text(tmp_path, case):
+    # A block's text, cut at utterance ends, is what formatting each file alone writes.
+    hmm, utterances, frames, noise = CASES.get(case, REGRESSION)
+    for u in generate_corpus(hmm, utterances, frames, noise, tmp_path).utterances:
+        m = load_posteriors(u.posteriors_path)
+        expected = f"{m.frames} {m.classes}\n{dataio._rows_text(m.values)}"
+        assert Path(u.posteriors_path).read_bytes() == expected.encode("ascii"), u.utterance_id

@@ -683,6 +683,28 @@ class TestGenerateCorpus:
         assert sorted(p.name for p in out.iterdir()) == [
             "utt0000.post", "utt0000.ref", "utt0001.post", "utt0001.ref"]
 
+    def test_one_save_posteriors_call_per_file(self, tmp_path, rng, monkeypatch):
+        # The benchmark takes the generator's frame count from these calls: one
+        # per file, with the matrix and the file's path as its first two arguments.
+        # At 3 classes an utterance of at most 9 frames needs 1 + 9 + 9 * (2 + 3) = 55
+        # draws, so blocks of 120 draws hold 2 utterances and 7 utterances take 4 blocks.
+        monkeypatch.setattr(dataio, "_BLOCK_DRAWS", 120)
+        real = dataio.save_posteriors
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "save_posteriors", recorder)
+        manifest = generate_corpus(make_random_hmm(rng, 3), 7, (3, 9), NoiseSpec(20.0, 0.3, 4),
+                                   tmp_path)
+        assert [args[1] for args in calls] == [u.posteriors_path for u in manifest.utterances]
+        for matrix, path in calls:
+            loaded = load_posteriors(path)
+            assert matrix.frames == loaded.frames
+            assert np.array_equal(matrix.values, loaded.values)
+
     def test_needs_two_classes(self, tmp_path, rng):
         noise = NoiseSpec(concentration=1.0, confusion_rate=0.0, seed=0)
         with pytest.raises(ValidationError, match="at least 2 classes"):
